@@ -93,6 +93,10 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 1
+    if args.suite and not report["suites"]:
+        scope = f" of kind {kind!r}" if kind else ""
+        print(f"error: no suite named {args.suite!r}{scope} in the config", file=sys.stderr)
+        return 1
 
     out_path = args.out or config.get("out")
     text = json.dumps(report, indent=2, default=str)

@@ -8,8 +8,9 @@ makes exact seminorm evaluation possible downstream.
 
 Coefficients are kept as exact rationals (Fraction/int) as long as every
 input is rational; irrational constants (sqrt(pi), Fourier phases) switch the
-affected coefficients to float/complex.  Suprema are computed in float from
-certified critical points; see :meth:`GaussPolyFn.sup_abs`.
+affected coefficients to float/complex.  Suprema are computed in float at
+the critical points of each decay group, plus a guard grid when there are
+several groups; see :meth:`GaussPolyFn.sup_abs`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import multiindex as mi
-from .rootfind import real_roots, ternary_max
+from .rootfind import real_roots, zoom_max
 
 __all__ = ["SparsePoly", "GaussPolyTerm", "GaussPolyFn", "leibniz_expand", "leibniz_summands"]
 
@@ -180,10 +181,11 @@ class GaussPolyTerm:
         self._flat = None
 
     def flat1(self):
-        """(a, re_desc, im_desc) float Horner data, cached (n = 1 only)."""
+        """(a, re_desc, im_desc) float Horner data, cached (n = 1 only);
+        im_desc is empty when every coefficient is real."""
         if self._flat is None:
             re, im = self.poly.coeff_lists_1d()
-            self._flat = (float(self.decay[0]), re[::-1], im[::-1])
+            self._flat = (float(self.decay[0]), re[::-1], im[::-1] if any(im) else [])
         return self._flat
 
     def __repr__(self):
@@ -346,16 +348,36 @@ class GaussPolyFn:
         out_im = 0.0
         for t in self.terms:
             a, re_desc, im_desc = t.flat1()
+            e = math.exp(-a * x * x)
+            if e == 0.0:
+                # far out the polynomial factor can overflow to inf, and
+                # inf * 0 would poison the sum; the term is 0 there
+                continue
             vr = 0.0
             vi = 0.0
             for c in re_desc:
                 vr = vr * x + c
             for c in im_desc:
                 vi = vi * x + c
-            e = math.exp(-a * x * x)
             out_re += vr * e
             out_im += vi * e
         return complex(out_re, out_im)
+
+    def _eval1_np(self, xs):
+        """f at every point of the float array xs (n = 1): the vectorised
+        :meth:`_eval1`, a real array when every coefficient is real."""
+        x2 = xs * xs
+        out = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in self.terms:
+                a, re_desc, im_desc = t.flat1()
+                v = np.polyval(re_desc, xs)
+                if im_desc:
+                    v = v + 1j * np.polyval(im_desc, xs)
+                e = np.exp(-a * x2)
+                # as in _eval1: a term whose Gaussian factor underflows is 0
+                out = out + np.where(e == 0.0, 0.0, v * e)
+        return out
 
     def has_real_coeffs(self, tol: float = 0.0) -> bool:
         return all(abs(_cimag(_inexact(c))) <= tol for t in self.terms for c in t.poly.terms.values())
@@ -363,27 +385,29 @@ class GaussPolyFn:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def _envelope(self, x: float) -> float:
-        out = 0.0
-        for t in self.terms:
-            a = float(t.decay[0])
-            s = sum(abs(complex(_inexact(c))) * abs(x) ** e[0] for e, c in t.poly.terms.items())
-            out += s * math.exp(-a * x * x)
-        return out
-
     def _tail_radius(self) -> float:
         # Radius beyond which every term's envelope is decreasing and the
         # total envelope has dropped 1e18 below its value at the threshold.
-        amin = min(float(t.decay[0]) for t in self.terms)
+        groups = [
+            (float(t.decay[0]), [(e[0], abs(complex(_inexact(c)))) for e, c in t.poly.terms.items()]) for t in self.terms
+        ]
+
+        def envelope(x: float) -> float:
+            out = 0.0
+            for a, mags in groups:
+                out += sum(m * abs(x) ** k for k, m in mags) * math.exp(-a * x * x)
+            return out
+
+        amin = min(a for a, _ in groups)
         dmax = max(t.poly.degree(0) for t in self.terms)
         r0 = max(1.0, math.sqrt((dmax + 2.0) / (2.0 * amin)))
-        e0 = self._envelope(r0)
+        e0 = envelope(r0)
         if e0 == 0.0:
             return r0
         r = r0
         for _ in range(200):
             r *= 1.25
-            if self._envelope(r) <= 1e-18 * e0:
+            if envelope(r) <= 1e-18 * e0:
                 return r
         return r
 
@@ -433,6 +457,11 @@ class GaussPolyFn:
             parts.append((tuple(float(a) for a in t.decay), tuple(items)))
         return (self.n, tuple(parts))
 
+    def _guard_grid(self):
+        """The grid that multi-term suprema and signed ranges scan."""
+        r = self._tail_radius()
+        return np.linspace(-r, r, 513)
+
     def _sup_candidates_1d(self):
         key = self._norm_key()
         hit = _CANDIDATE_CACHE.get(key)
@@ -443,12 +472,13 @@ class GaussPolyFn:
             # cross-decay interference can move the maximum off every
             # per-group critical point: guard with a grid over the region
             # where the envelope is non-negligible, refining local maxima
-            r = self._tail_radius()
-            grid = np.linspace(-r, r, 513)
-            vals = [abs(self._eval1(float(x))) for x in grid]
-            for i in range(1, len(grid) - 1):
-                if vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1] and vals[i] > 0.0:
-                    cands.append(ternary_max(lambda x: abs(self._eval1(x)), float(grid[i - 1]), float(grid[i + 1])))
+            grid = self._guard_grid()
+            vals = np.abs(self._eval1_np(grid))
+            mid = vals[1:-1]
+            peaks = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid > 0.0))
+            if peaks.size:
+                refined = zoom_max(lambda xs: np.abs(self._eval1_np(xs)), grid[peaks], grid[peaks + 2])
+                cands.extend(refined.tolist())
         seen = set()
         uniq = []
         for c in cands:
@@ -466,9 +496,14 @@ class GaussPolyFn:
     def sup_abs(self) -> float:
         """sup over R^n of |f|.
 
-        n = 1: exact mode, per-decay-group critical points from certified
-        real-root isolation, plus (for several groups, where cross terms can
-        move the maximum) a guarded grid with golden-section refinement.
+        n = 1: |f| is evaluated at the critical points of each decay group
+        (real roots of one polynomial per group, refined by bisection).
+        That is the whole computation for one group.  With several groups,
+        cross terms can move the maximum off every per-group critical point,
+        so a 513-point guard grid over the region where the envelope is
+        non-negligible is evaluated in numpy and each of its local maxima is
+        refined by a vectorised zoom (:func:`rootfind.zoom_max`).  The
+        multi-group value is a grid-guarded estimate, not a certified bound.
         n >= 2: adaptive tensor grid; see :meth:`sup_abs_report`.
         """
         return self.sup_abs_report()[0]
@@ -515,11 +550,10 @@ class GaussPolyFn:
             raise NotImplementedError("signed_range: exact mode is n = 1 only")
         if self.is_zero():
             return 0.0, 0.0
-        cands = list(self._sup_candidates_1d())
+        vals = [self._eval1(x).real for x in self._sup_candidates_1d()]
         if len(self.terms) > 1:
-            r = self._tail_radius()
-            cands.extend(float(x) for x in np.linspace(-r, r, 513))
-        vals = [self._eval1(x).real for x in cands]
+            grid_vals = self._eval1_np(self._guard_grid()).real
+            vals += [float(grid_vals.min()), float(grid_vals.max())]
         return min(0.0, min(vals)), max(0.0, max(vals))
 
     # -- serialization ------------------------------------------------------

@@ -4,8 +4,8 @@ A config is one JSON document: {"seed": int, "suites": [entry...], "out":
 path}.  Every entry has a name, a kind (axioms | continuity | gateaux |
 frechet | order | identity), descriptors for the space/operator/point, and a
 params object (J indices, epsilon, sample budgets, optional candidate
-override, optional t schedule).  Suites run concurrently with per-suite
-derived seeds; report assembly is sequential, so a fixed seed yields an
+override, optional t schedule).  Suites run one after another in config
+order, each under a seed derived from its name, so a fixed seed yields an
 identical report up to wall-clock fields.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .differentiation import (
@@ -322,9 +321,7 @@ def run_config(config: dict, seed_override=None, name_filter=None, kind_filter=N
     if kind_filter:
         entries = [e for e in entries if e["kind"] == kind_filter]
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=min(4, max(1, len(entries)))) as pool:
-        futures = [pool.submit(run_suite_entry, e, derive_seed(seed, e["name"])) for e in entries]
-        results = [f.result() for f in futures]
+    results = [run_suite_entry(e, derive_seed(seed, e["name"])) for e in entries]
     summary = {
         "total": len(results),
         "passed": sum(1 for r in results if r["passed"]),

@@ -1,8 +1,13 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fsemcalc
 from fsemcalc.cli import main
 from fsemcalc.suites import builtin_catalogue_config, run_config
 
@@ -60,6 +65,14 @@ def test_exit_one_on_malformed_config(tmp_path):
     cfg = write_config(tmp_path, {"seed": 1, "suites": [{"name": "x", "kind": "bogus"}]})
     assert main(["suite", "--config", cfg]) == 1
     assert main(["suite", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+def test_exit_one_on_unknown_suite_name(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry("a")]})
+    assert main(["suite", "--config", cfg, "--suite", "nope"]) == 1
+    assert main(["order", "--config", cfg, "--suite", "a"]) == 1  # exists, but not of that kind
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and "'nope'" in err[0] and "'a'" in err[1]
 
 
 def test_empty_suites_ok(tmp_path):
@@ -164,3 +177,22 @@ def test_builtin_catalogue_suite_passes():
     report = run_config(builtin_catalogue_config())
     failed = [s["name"] for s in report["suites"] if not s["passed"]]
     assert not failed, failed
+
+
+@pytest.mark.slow
+def test_report_identical_across_processes(tmp_path):
+    # suites share the supremum candidate cache, so the report repeats
+    # across processes only when they fill it in a fixed order
+    env = dict(os.environ, PYTHONPATH=str(Path(fsemcalc.__file__).parent.parent))
+    texts = []
+    for i in range(2):
+        out = tmp_path / f"r{i}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fsemcalc.cli", "suite", "--seed", "1123133184", "--out", str(out)],
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        texts.append(json.dumps(_strip_timing(json.loads(out.read_text()))))
+    assert texts[0] == texts[1]

@@ -210,6 +210,19 @@ def test_verify_frechet_searched_fallback():
     assert w.passed and w.delta_source == "searched" and w.delta > 1e-12
 
 
+def test_verify_frechet_power4_two_term_point_no_overflow():
+    # the (DR) residuals here carry cancellation noise whose critical
+    # points reach |x| ~ 3.5e22; evaluating |f| there used to raise
+    # OverflowError inside sup_abs
+    xbar = GaussPolyFn.from_term({(2,): Fraction(4)}, (Fraction(2),)).add(
+        GaussPolyFn.from_term({(0,): Fraction(6), (2,): Fraction(6)}, (Fraction(1, 2),))
+    )
+    P4 = Operator("power", {"m": 4}, SCH, SCH)
+    J = [((0,), (0,)), ((0,), (1,))]
+    w = verify_frechet(P4, xbar, J, 0.5, delta_source="constructive", rng=random.Random(2143674208), n_samples=10)
+    assert w.passed and w.recipe == "schwartz-power"
+
+
 def test_scale_into_lands_on_target():
     rng = random.Random(7)
     for space in (SIGMA, S):

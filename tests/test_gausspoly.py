@@ -140,13 +140,26 @@ def test_sup_derivative_frozen_value():
 
 
 def test_sup_matches_grid_oracle_random():
+    # the 30 functions with two or three decay groups and degree <= 12 take
+    # the guard-grid path of sup_abs and signed_range; a 200001-point grid
+    # bounds both from below and above
     rng = random.Random(23)
-    for _ in range(25):
-        f = random_fn(rng)
+    fns = [random_fn(rng) for _ in range(25)]
+    while len(fns) < 55:
+        f = random_fn(rng, max_degree=12, max_terms=3)
+        if f.term_count() >= 2:
+            fns.append(f)
+    xs = np.linspace(-10.0, 10.0, 200001)
+    for f in fns:
+        vals = eval_json(f.to_json(), xs)
+        grid = float(np.abs(vals).max())
         ours = f.sup_abs()
-        grid = grid_sup_oracle(f)
         assert ours >= grid - 1e-8 * (1 + grid)
         assert ours <= grid * (1 + 1e-6) + 1e-9
+        lo, hi = f.signed_range()
+        gl, gh = min(0.0, float(vals.real.min())), max(0.0, float(vals.real.max()))
+        assert gl - 1e-6 * grid - 1e-9 <= lo <= gl + 1e-8 * (1 + grid)
+        assert gh - 1e-8 * (1 + grid) <= hi <= gh + 1e-6 * grid + 1e-9
 
 
 def test_sup_dominates_samples():
@@ -176,6 +189,27 @@ def test_signed_range():
     assert abs(lo + want) < 1e-12 and abs(hi - want) < 1e-12
     lo, hi = GAUSS.signed_range()
     assert lo == 0.0 and abs(hi - 1.0) < 1e-15
+
+
+def test_vectorised_eval_matches_scalar():
+    rng = random.Random(37)
+    xs = np.linspace(-9.0, 9.0, 301)
+    for _ in range(20):
+        f = random_fn(rng, max_degree=12, max_terms=3).add(random_fn(rng, max_degree=12, max_terms=3).fourier())
+        got = f._eval1_np(xs)
+        want = np.array([f._eval1(float(x)) for x in xs])
+        envelope = max(float(np.abs(want).max()), 1e-300)
+        assert np.abs(got - want).max() <= 1e-13 * envelope
+
+
+def test_eval_far_out_is_zero_not_nan():
+    # the polynomial factor overflows to inf at 3.5e22 while the Gaussian
+    # factor underflows to 0; the term is 0 there, not inf * 0
+    f = GaussPolyFn.from_term({(16,): Fraction(3)}, (Fraction(8),)).add(XGAUSS)
+    x = 3.4809431553297174e22
+    assert f.eval((x,)) == 0
+    assert f._eval1_np(np.array([x, -x])).tolist() == [0.0, 0.0]
+    assert math.isfinite(f.sup_abs())
 
 
 # -- Fourier transform -------------------------------------------------------

@@ -1,7 +1,9 @@
 import math
 import random
 
-from fsemcalc.rootfind import poly_eval, real_roots, ternary_max
+import numpy as np
+
+from fsemcalc.rootfind import poly_eval, real_roots, ternary_max, zoom_max
 
 
 def test_linear_quadratic():
@@ -51,3 +53,21 @@ def test_ternary_max():
     assert abs(x - 0.3) < 1e-10
     x = ternary_max(lambda t: math.cos(t), -1.0, 1.0)
     assert abs(x) < 1e-6  # flat maximum: x-accuracy ~ sqrt(machine eps)
+
+
+def test_zoom_max_several_brackets_match_ternary():
+    # -sin(x)^2 peaks at every k*pi; asymmetric brackets around six of them
+    # are refined together, each round evaluating every bracket in one call
+    lo = [k * math.pi - 0.4 for k in range(-2, 4)]
+    hi = [k * math.pi + 0.7 for k in range(-2, 4)]
+    shapes = []
+
+    def fn(xs):
+        shapes.append(xs.shape)
+        return -np.sin(xs) ** 2
+
+    got = zoom_max(fn, lo, hi)
+    assert all(shape[0] == len(lo) for shape in shapes)
+    for x, a, b in zip(got, lo, hi):
+        want = ternary_max(lambda t: -math.sin(t) ** 2, a, b)
+        assert abs(x - want) < 1e-9
