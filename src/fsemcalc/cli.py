@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .suites import SUITE_KINDS, builtin_catalogue_config, run_config
@@ -27,7 +28,19 @@ def _load_config(path):
     if path is None:
         return builtin_catalogue_config()
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+
+
+def _reject_constant(name):
+    # the report echoes the config, and strict JSON has no NaN or Infinity
+    raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows to {value}")
+    return value
 
 
 def _validate(config) -> str | None:
@@ -39,10 +52,14 @@ def _validate(config) -> str | None:
     if not isinstance(suites, list):
         return "config field 'suites' must be a list"
     for i, e in enumerate(suites):
-        if "name" not in e:
-            return f"suites[{i}]: field 'name' is required"
+        if not isinstance(e, dict):
+            return f"suites[{i}] must be a JSON object"
+        if not isinstance(e.get("name"), str):
+            return f"suites[{i}]: field 'name' is required and must be a string"
         if e.get("kind") not in SUITE_KINDS:
             return f"suites[{i}] ({e.get('name')}): field 'kind' must be one of {SUITE_KINDS}"
+        if not isinstance(e.get("params", {}), dict):
+            return f"suites[{i}] ({e.get('name')}): field 'params' must be a JSON object"
     return None
 
 
@@ -73,7 +90,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return 1
     problem = _validate(config)
@@ -99,7 +116,7 @@ def main(argv=None) -> int:
         return 1
 
     out_path = args.out or config.get("out")
-    text = json.dumps(report, indent=2, default=str)
+    text = json.dumps(report, indent=2, default=str, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -52,14 +52,6 @@ def _cmul(a, b):
     return _inexact(a) * _inexact(b)
 
 
-def _cneg(a):
-    return -a
-
-
-def _is_zero_coeff(c) -> bool:
-    return c == 0
-
-
 def _creal(c):
     return c.real if isinstance(c, complex) else c
 
@@ -78,7 +70,7 @@ class SparsePoly:
         self.terms = {}
         if terms:
             for exp, c in terms.items():
-                if not _is_zero_coeff(c):
+                if c != 0:
                     if len(exp) != n:
                         raise ValueError(f"exponent {exp} has wrong dimension for n={n}")
                     self.terms[tuple(exp)] = c
@@ -94,17 +86,17 @@ class SparsePoly:
         out = dict(self.terms)
         for exp, c in other.terms.items():
             s = _cadd(out.get(exp, 0), c)
-            if _is_zero_coeff(s):
+            if s == 0:
                 out.pop(exp, None)
             else:
                 out[exp] = s
         return SparsePoly(self.n, out)
 
     def neg(self) -> "SparsePoly":
-        return SparsePoly(self.n, {e: _cneg(c) for e, c in self.terms.items()})
+        return SparsePoly(self.n, {e: -c for e, c in self.terms.items()})
 
     def scale(self, a) -> "SparsePoly":
-        if _is_zero_coeff(a):
+        if a == 0:
             return SparsePoly(self.n)
         return SparsePoly(self.n, {e: _cmul(a, c) for e, c in self.terms.items()})
 
@@ -114,7 +106,7 @@ class SparsePoly:
             for e2, c2 in other.terms.items():
                 e = mi.add(e1, e2)
                 s = _cadd(out.get(e, 0), _cmul(c1, c2))
-                if _is_zero_coeff(s):
+                if s == 0:
                     out.pop(e, None)
                 else:
                     out[e] = s
@@ -264,7 +256,7 @@ class GaussPolyFn:
         return self.add(other.scale(-1))
 
     def scale(self, a) -> "GaussPolyFn":
-        if _is_zero_coeff(a):
+        if a == 0:
             return GaussPolyFn.zero(self.n)
         return GaussPolyFn(self.n, tuple(GaussPolyTerm(t.poly.scale(a), t.decay) for t in self.terms))
 
@@ -317,7 +309,7 @@ class GaussPolyFn:
         """x -> -x (flips sign of odd-total-degree monomials)."""
         out = []
         for t in self.terms:
-            p = SparsePoly(self.n, {e: c if mi.order(e) % 2 == 0 else _cneg(c) for e, c in t.poly.terms.items()})
+            p = SparsePoly(self.n, {e: c if mi.order(e) % 2 == 0 else -c for e, c in t.poly.terms.items()})
             out.append(GaussPolyTerm(p, t.decay))
         return GaussPolyFn(self.n, out)
 
@@ -412,7 +404,13 @@ class GaussPolyFn:
         return r
 
     def _critical_candidates_1d(self):
-        """Certified critical points of |f| restricted to each decay group."""
+        """Critical points of each decay group's term f_k = q_k e^{-a_k x^2}
+        (plus 0), from one polynomial per group.
+
+        Real q: the roots of q' - 2 a x q, the polynomial part of f_k' (see
+        :meth:`diff1`), built in float.  Complex q: the roots of the
+        polynomial factor of d/dx |f_k|^2.
+        """
 
         def pad_add(a, b):
             if len(a) < len(b):
@@ -429,15 +427,15 @@ class GaussPolyFn:
         for t in self.terms:
             a = float(t.decay[0])
             re, im = t.poly.coeff_lists_1d()
+            if not any(im):
+                cands.extend(real_roots(pad_add(ascending_diff(re), [0.0] + [-2.0 * a * v for v in re])))
+                continue
             # d/dx |q e^{-a x^2}|^2 has polynomial factor
             #   re*re' + im*im' - 2 a x (re^2 + im^2)
-            s = list(np.convolve(re, ascending_diff(re)))
-            if any(im):
-                s = pad_add(s, np.convolve(im, ascending_diff(im)))
+            s = pad_add(np.convolve(re, ascending_diff(re)), np.convolve(im, ascending_diff(im)))
             sq = pad_add(np.convolve(re, re), np.convolve(im, im))
             shifted = [0.0] + [-2.0 * a * v for v in sq]
-            tot = pad_add(s, shifted)
-            cands.extend(real_roots(tot))
+            cands.extend(real_roots(pad_add(s, shifted)))
         return cands
 
     def _norm_key(self):
@@ -496,9 +494,10 @@ class GaussPolyFn:
     def sup_abs(self) -> float:
         """sup over R^n of |f|.
 
-        n = 1: |f| is evaluated at the critical points of each decay group
-        (real roots of one polynomial per group, refined by bisection).
-        That is the whole computation for one group.  With several groups,
+        n = 1: |f| is evaluated at the critical points of each decay
+        group's term f_k (real roots of one polynomial per group, refined by
+        bisection; see :meth:`_critical_candidates_1d`) and at 0.  That is
+        the whole computation for one group.  With several groups,
         cross terms can move the maximum off every per-group critical point,
         so a 513-point guard grid over the region where the envelope is
         non-negligible is evaluated in numpy and each of its local maxima is

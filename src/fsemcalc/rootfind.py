@@ -1,9 +1,13 @@
 """Real roots of univariate real polynomials, refined by bisection.
 
-Seeds come from the companion-matrix eigenvalues; every near-real seed is
-polished to ~1e-12 x-accuracy, by bisection when a sign-change bracket can be
-found around it (certified), by Newton steps otherwise (even-multiplicity
-roots have no bracket, but they are still returned as candidates).
+:mod:`gausspoly` calls :func:`real_roots` once per decay group of a function;
+the roots are that group's critical points, the candidates of the 1-D
+supremum.  Seeds come from the companion-matrix eigenvalues; each distinct
+near-real seed is polished once, to ~1e-13 x-accuracy, by bisection when a
+sign-change bracket can be found around it (certified: a float sign change
+inside a bracket of width at most 1e-13 * (1 + |x|)), by Newton steps
+otherwise (even-multiplicity roots have no bracket, but they are still
+returned as candidates).
 
 Coefficient lists are ascending: p(x) = c[0] + c[1] x + ... + c[d] x^d.
 
@@ -45,8 +49,7 @@ def _strip(coeffs):
     return c
 
 
-def _bisect(coeffs, lo: float, hi: float) -> float:
-    flo = poly_eval(coeffs, lo)
+def _bisect(coeffs, lo: float, hi: float, flo: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= _XTOL * (1.0 + abs(mid)):
@@ -78,12 +81,14 @@ def _newton_polish(coeffs, x: float) -> float:
 def _refine(coeffs, seed: float, scale: float) -> float:
     # Try to certify with a sign-change bracket around the seed, widening
     # geometrically; fall back to Newton polish (even-multiplicity roots).
-    h = 1e-9 * (1.0 + abs(seed))
+    # An eigenvalue seed of a simple root is usually already within the
+    # target width, so the first bracket is that width and bisection is short.
+    h = _XTOL * (1.0 + abs(seed))
     for _ in range(40):
         lo, hi = seed - h, seed + h
         flo, fhi = poly_eval(coeffs, lo), poly_eval(coeffs, hi)
         if (flo < 0.0) != (fhi < 0.0):
-            return _bisect(coeffs, lo, hi)
+            return _bisect(coeffs, lo, hi, flo)
         h *= 4.0
         if h > 0.5 * scale:
             break
@@ -119,11 +124,9 @@ def real_roots(coeffs, imag_tol: float = 1e-7):
 
     seeds = np.roots(list(reversed(c)))
     scale = 1.0 + max(abs(s) for s in seeds)
-    out = []
-    for z in seeds:
-        if abs(z.imag) <= imag_tol * (1.0 + abs(z.real)):
-            out.append(_refine(c, float(z.real), scale))
-    out.sort()
+    # a near-real conjugate pair gives the same real part twice: refine it once
+    near_real = {float(z.real) for z in seeds if abs(z.imag) <= imag_tol * (1.0 + abs(z.real))}
+    out = sorted(_refine(c, x, scale) for x in near_real)
     dedup = []
     for r in out:
         if not dedup or abs(r - dedup[-1]) > 1e-11 * (1.0 + abs(r)):

@@ -11,6 +11,7 @@ identical report up to wall-clock fields.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 import zlib
@@ -303,14 +304,29 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
             w = verify_gateaux(op, point, v, L, J, epsilon, sched or default_t_schedule(), seed=seed)
             payload, passed = w.to_json(), w.passed
 
-    return {
-        "name": name,
-        "kind": kind,
-        "seed": seed,
-        "passed": bool(passed),
-        "wall_clock_s": time.perf_counter() - t0,
-        "witness": payload,
-    }
+    wall = time.perf_counter() - t0
+    bad = []
+    payload = _strings_for_nonfinite(payload, "witness", bad)
+    out = {"name": name, "kind": kind, "seed": seed, "passed": bool(passed) and not bad, "wall_clock_s": wall}
+    if bad:
+        more = f" (and {len(bad) - 1} more)" if len(bad) > 1 else ""
+        out["reason"] = f"non-finite value at {bad[0]}{more}"
+    out["witness"] = payload
+    return out
+
+
+def _strings_for_nonfinite(doc, path: str, bad: list):
+    """doc with every NaN or infinite float replaced by its string ('nan',
+    'inf', '-inf'), which strict JSON can hold; the JSON path of each one is
+    appended to bad."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        bad.append(path)
+        return str(doc)
+    if isinstance(doc, dict):
+        return {k: _strings_for_nonfinite(v, f"{path}.{k}", bad) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_strings_for_nonfinite(v, f"{path}[{i}]", bad) for i, v in enumerate(doc)]
+    return doc
 
 
 def run_config(config: dict, seed_override=None, name_filter=None, kind_filter=None) -> dict:

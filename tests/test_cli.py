@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import fsemcalc
+from fsemcalc import suites
 from fsemcalc.cli import main
+from fsemcalc.seminorms import CheckReport
 from fsemcalc.suites import builtin_catalogue_config, run_config
 
 SIGMA_DESC = {"space": "sigma_rho", "rho": 0.5}
@@ -65,6 +67,43 @@ def test_exit_one_on_malformed_config(tmp_path):
     cfg = write_config(tmp_path, {"seed": 1, "suites": [{"name": "x", "kind": "bogus"}]})
     assert main(["suite", "--config", cfg]) == 1
     assert main(["suite", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "suites_field",
+    [[5], ["x"], [{"name": 3, "kind": "order"}], [{"name": "o", "kind": "order", "params": [1]}]],
+)
+def test_exit_one_on_non_object_entry(tmp_path, capsys, suites_field):
+    cfg = write_config(tmp_path, {"seed": 1, "suites": suites_field})
+    assert main(["suite", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: suites[0]")
+
+
+def test_exit_one_on_non_finite_config(tmp_path, capsys):
+    cfg = tmp_path / "nan.json"
+    for token in ("NaN", "1e999"):
+        cfg.write_text('{"seed": 1, "suites": [], "note": %s}' % token)
+        assert main(["suite", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and token in err[0]
+
+
+def test_non_finite_witness_fails_the_suite(tmp_path, monkeypatch):
+    witness = {"ratio": float("nan"), "bounds": [1.0, float("-inf")]}
+    monkeypatch.setitem(suites.IDENTITY_CASES, "nan-case", lambda rng: CheckReport("nan", True, witness, 1, 0.0))
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [{"name": "nan-case", "kind": "identity"}]})
+    out = tmp_path / "r.json"
+    assert main(["suite", "--config", cfg, "--out", str(out)]) == 2
+
+    def reject(name):
+        raise ValueError(name)
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    entry = report["suites"][0]
+    assert not entry["passed"]
+    assert entry["reason"] == "non-finite value at witness.counterexample.ratio (and 1 more)"
+    assert entry["witness"]["counterexample"] == {"ratio": "nan", "bounds": [1.0, "-inf"]}
 
 
 def test_exit_one_on_unknown_suite_name(tmp_path, capsys):

@@ -141,14 +141,16 @@ def test_sup_derivative_frozen_value():
 
 def test_sup_matches_grid_oracle_random():
     # the 30 functions with two or three decay groups and degree <= 12 take
-    # the guard-grid path of sup_abs and signed_range; a 200001-point grid
-    # bounds both from below and above
+    # the guard-grid path of sup_abs and signed_range; the 15 powers p^m have
+    # the clustered zeros of the power workloads; a 200001-point grid bounds
+    # both from below and above
     rng = random.Random(23)
     fns = [random_fn(rng) for _ in range(25)]
     while len(fns) < 55:
         f = random_fn(rng, max_degree=12, max_terms=3)
         if f.term_count() >= 2:
             fns.append(f)
+    fns += [random_fn(rng, max_terms=3).pow(m) for m in (2, 3, 4) for _ in range(5)]
     xs = np.linspace(-10.0, 10.0, 200001)
     for f in fns:
         vals = eval_json(f.to_json(), xs)
@@ -160,6 +162,27 @@ def test_sup_matches_grid_oracle_random():
         gl, gh = min(0.0, float(vals.real.min())), max(0.0, float(vals.real.max()))
         assert gl - 1e-6 * grid - 1e-9 <= lo <= gl + 1e-8 * (1 + grid)
         assert gh - 1e-8 * (1 + grid) <= hi <= gh + 1e-6 * grid + 1e-9
+
+
+def test_candidates_are_roots_of_each_group_derivative():
+    # for a real term f_k = q e^{-a x^2} the candidates are the critical
+    # points of f_k: roots of the polynomial part of f_k', not zeros of q
+    rng = random.Random(29)
+    checked = 0
+    for m in (1, 2, 3):
+        for _ in range(8):
+            f = random_fn(rng, max_degree=6, max_terms=3).pow(m)
+            for t in f.terms:
+                group = GaussPolyFn(1, (t,))
+                (dterm,) = group.diff1(0).terms
+                coeffs = {e[0]: Fraction(c) for e, c in dterm.poly.terms.items()}
+                for x in group._critical_candidates_1d()[1:]:
+                    x = Fraction(x)
+                    value = sum(c * x**k for k, c in coeffs.items())
+                    size = sum(abs(c) * abs(x) ** k for k, c in coeffs.items())
+                    assert abs(value) <= Fraction(1, 10**9) * size
+                    checked += 1
+    assert checked > 100
 
 
 def test_sup_dominates_samples():

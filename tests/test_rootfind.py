@@ -1,9 +1,20 @@
 import math
 import random
+import sys
 
 import numpy as np
 
-from fsemcalc.rootfind import poly_eval, real_roots, ternary_max, zoom_max
+from fsemcalc import rootfind
+from fsemcalc.rootfind import _XTOL, poly_diff, poly_eval, real_roots, ternary_max, zoom_max
+
+
+def poly_from_roots(roots):
+    coeffs = [1.0]
+    for r in roots:
+        coeffs = [0.0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return coeffs
 
 
 def test_linear_quadratic():
@@ -32,11 +43,7 @@ def test_random_products_recovered():
     rng = random.Random(3)
     for _ in range(40):
         roots = sorted(rng.uniform(-4, 4) for _ in range(rng.randint(1, 6)))
-        coeffs = [1.0]
-        for r in roots:
-            coeffs = [0.0] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] -= r * coeffs[i + 1]
+        coeffs = poly_from_roots(roots)
         got = real_roots(coeffs)
         for r in roots:
             assert min(abs(r - g) for g in got) < 1e-7 * (1 + abs(r))
@@ -46,6 +53,49 @@ def test_residual_small_at_roots():
     coeffs = [1.0, -3.0, 0.5, 2.0, 1.0]
     for r in real_roots(coeffs):
         assert abs(poly_eval(coeffs, r)) < 1e-9
+
+
+def test_simple_roots_change_sign_within_tolerance():
+    # a bisected root lies in a bracket of width <= _XTOL * (1 + |r|) with a
+    # float sign change; wherever the float sign at r -/+ that width is not
+    # lost in Horner rounding, the sign change shows there
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(300):
+        degree = rng.randint(3, 8)
+        roots = []
+        while len(roots) < degree:
+            r = rng.uniform(-4, 4)
+            if all(abs(r - q) > 0.3 for q in roots):
+                roots.append(r)
+        coeffs = poly_from_roots(roots)
+        got = real_roots(coeffs)
+        assert len(got) == len(roots)
+        for r in got:
+            h = _XTOL * (1.0 + abs(r))
+            rounding = 2 * len(coeffs) * sys.float_info.epsilon * poly_eval([abs(c) for c in coeffs], abs(r) + h)
+            if abs(poly_eval(poly_diff(coeffs), r)) * h <= 2 * rounding:
+                continue
+            checked += 1
+            lo, hi = poly_eval(coeffs, r - h), poly_eval(coeffs, r + h)
+            assert lo == 0.0 or hi == 0.0 or (lo < 0.0) != (hi < 0.0)
+    assert checked > 1000
+
+
+def test_duplicate_seeds_refined_once_same_roots():
+    # (x^2 + 1e-16)(x - 3)(x + 2): the companion matrix gives the pair
+    # +-1e-8 i, near-real, so two seeds with the same real part; refining
+    # every kept seed and deduplicating gives the same list
+    coeffs = np.polynomial.polynomial.polymul([1e-16, 0.0, 1.0], poly_from_roots([3.0, -2.0])).tolist()
+    seeds = [z for z in np.roots(coeffs[::-1]) if abs(z.imag) <= 1e-7 * (1.0 + abs(z.real))]
+    assert len({z.real for z in seeds}) < len(seeds)
+    scale = 1.0 + max(abs(z) for z in np.roots(coeffs[::-1]))
+    every = sorted(rootfind._refine(coeffs, float(z.real), scale) for z in seeds)
+    want = []
+    for r in every:
+        if not want or abs(r - want[-1]) > 1e-11 * (1.0 + abs(r)):
+            want.append(r)
+    assert real_roots(coeffs) == want
 
 
 def test_ternary_max():
