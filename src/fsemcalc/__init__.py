@@ -60,7 +60,6 @@ from .seminorms import (
     family_max,
     index_set,
     nbhd_algebra_check,
-    nbhd_contains,
     separating_check,
 )
 from .spaces import (

@@ -28,7 +28,7 @@ def _load_config(path):
     if path is None:
         return builtin_catalogue_config()
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+        return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_float_sized_int)
 
 
 def _reject_constant(name):
@@ -41,6 +41,12 @@ def _finite_float(text):
     if not math.isfinite(value):
         raise ValueError(f"number {text} overflows to {value}")
     return value
+
+
+def _float_sized_int(text):
+    if not math.isfinite(float(text)):  # suites turn numeric params into floats
+        raise ValueError(f"integer of {len(text)} digits overflows a float")
+    return int(text)
 
 
 def _validate(config) -> str | None:

@@ -366,6 +366,56 @@ def _dr_targets(delta: float, rng, n: int):
     return targets[:n]
 
 
+def _resolve_delta(delta_source, recipe_fn, dom):
+    """(I, delta, recipe, source) for a delta_source: an explicit (I, delta)
+    pair, "constructive" (recipe_fn() must succeed), "auto" (recipe_fn(),
+    else search) or anything else (search).  I = None means search."""
+    if isinstance(delta_source, tuple):
+        I, delta = delta_source
+        return (I if isinstance(I, IndexSet) else index_set(dom, I)), delta, "explicit", "explicit"
+    if delta_source in ("auto", "constructive"):
+        try:
+            return (*recipe_fn(), "constructive")
+        except NoRecipeError:
+            if delta_source == "constructive":
+                raise
+    return None, None, "searched", "searched"
+
+
+def _neighbourhood(dom, I: IndexSet, delta: float, rng, count: int):
+    """Yield count pairs (u, max_I p(u)) with 0 < max_I p(u) < delta, one per
+    _dr_targets level, from the space's own random directions.
+
+    A generator, so that each caller evaluates a sample before the next is
+    drawn: the supremum candidate cache then fills in the same order as a
+    loop that interleaves drawing and testing.
+    """
+    for target in _dr_targets(delta, rng, count):
+        for _ in range(20):
+            u = scale_into(dom, dom.random_direction(rng), I, target)
+            c = 0.0 if u is None else family_max(dom, u, I)
+            if 0.0 < c < delta:
+                break
+        else:
+            raise RuntimeError("sampler failed to land in the punctured neighborhood")
+        yield u, c
+
+
+def _sampled_verdict(dom, J: IndexSet, I, delta, batch):
+    """Run batch(I, delta) -> (passed, samples) and return
+    (I, delta, passed, samples).  With I None, halve delta from 1 over the
+    covering index set until a batch passes; the search fails below 1e-12."""
+    if I is not None:
+        return (I, float(delta), *batch(I, delta))
+    I, delta = _covering_index_set(dom, J), 1.0
+    while delta >= 1e-12:
+        passed, samples = batch(I, delta)
+        if passed:
+            break
+        delta /= 2.0
+    return I, delta, delta >= 1e-12, samples
+
+
 def verify_frechet(
     op: Operator,
     xbar,
@@ -376,7 +426,6 @@ def verify_frechet(
     rng=None,
     n_samples: int = 500,
     seed=None,
-    sampler=None,
 ) -> FrechetWitness:
     """(DZ)/(DR) harness around an (I, delta) pair.
 
@@ -391,58 +440,19 @@ def verify_frechet(
     J = J if isinstance(J, IndexSet) else index_set(cod, J)
     if L is None:
         L = analytic_frechet(op, xbar)
+    I, delta, recipe, source = _resolve_delta(delta_source, lambda: delta_constructor(op, xbar, J, epsilon), dom)
 
-    recipe = "explicit"
-    if isinstance(delta_source, tuple):
-        I, delta = delta_source
-        I = I if isinstance(I, IndexSet) else index_set(dom, I)
-        source_name = "explicit"
-    elif delta_source in ("auto", "constructive"):
-        try:
-            I, delta, recipe = delta_constructor(op, xbar, J, epsilon)
-            source_name = "constructive"
-        except NoRecipeError:
-            if delta_source == "constructive":
-                raise
-            I, delta, recipe, source_name = None, None, "searched", "searched"
-    else:
-        I, delta, recipe, source_name = None, None, "searched", "searched"
-
-    draw = sampler or (lambda: dom.random_direction(rng))
-
-    def run_batch(I, delta, count):
-        dz, dr = [], []
+    def batch(I, delta):
+        dz = []
         for u in _kernel_samples(dom, I, rng):
             num = cod.sub(cod.sub(op.apply(dom.add(xbar, u)), op.apply(xbar)), L.apply(u))
             dz.append((u, family_max(cod, num, J)))
-        for target in _dr_targets(delta, rng, count):
-            for _ in range(20):
-                u = scale_into(dom, draw(), I, target)
-                if u is None:
-                    continue
-                c = family_max(dom, u, I)
-                if 0.0 < c < delta:
-                    break
-            else:
-                raise RuntimeError("sampler failed to land in the punctured neighborhood")
-            dr.append((u, c, dr_ratio(op, xbar, u, L, I, J)))
-        return dz, dr
+        dr = [(u, c, dr_ratio(op, xbar, u, L, I, J)) for u, c in _neighbourhood(dom, I, delta, rng, n_samples)]
+        passed = all(r <= EXACT_ZERO_TOL for _, r in dz) and all(r < epsilon for _, _, r in dr)
+        return passed, (dz, dr)
 
-    if source_name == "searched":
-        I = _covering_index_set(dom, J)
-        delta = 1.0
-        dz = dr = None
-        while delta >= 1e-12:
-            dz, dr = run_batch(I, delta, n_samples)
-            if all(r <= EXACT_ZERO_TOL for _, r in dz) and all(r < epsilon for _, _, r in dr):
-                break
-            delta /= 2.0
-        passed = delta >= 1e-12
-        return FrechetWitness(J, float(epsilon), I, delta, dz, dr, "searched", recipe, passed, seed)
-
-    dz, dr = run_batch(I, delta, n_samples)
-    passed = all(r <= EXACT_ZERO_TOL for _, r in dz) and all(r < epsilon for _, _, r in dr)
-    return FrechetWitness(J, float(epsilon), I, float(delta), dz, dr, source_name, recipe, passed, seed)
+    I, delta, passed, (dz, dr) = _sampled_verdict(dom, J, I, delta, batch)
+    return FrechetWitness(J, float(epsilon), I, delta, dz, dr, source, recipe, passed, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -526,61 +536,22 @@ def continuity_verify(
     rng=None,
     n_samples: int = 500,
     seed=None,
-    sampler=None,
 ) -> ContinuityWitness:
-    """Sample x with max_I p(x - x0) < delta and check the image condition
-    max_J q(T x - T x0) < epsilon."""
+    """Sample x with 0 < max_I p(x - x0) < delta and check the image
+    condition max_J q(T x - T x0) < epsilon."""
     rng = rng or random.Random(0)
     dom, cod = op.domain, op.codomain
     J = J if isinstance(J, IndexSet) else index_set(cod, J)
-
-    recipe = "explicit"
-    searched = False
-    if isinstance(delta_source, tuple):
-        I, delta = delta_source
-        I = I if isinstance(I, IndexSet) else index_set(dom, I)
-    elif delta_source in ("auto", "constructive"):
-        try:
-            I, delta, recipe = continuity_delta(op, x0, J, epsilon)
-        except NoRecipeError:
-            if delta_source == "constructive":
-                raise
-            searched = True
-    else:
-        searched = True
-
+    I, delta, recipe, _ = _resolve_delta(delta_source, lambda: continuity_delta(op, x0, J, epsilon), dom)
     tx0 = op.apply(x0)
-    draw = sampler or (lambda: dom.random_direction(rng))
 
-    def run_batch(I, delta, count):
-        samples = []
-        for target in _dr_targets(delta, rng, count):
-            u = None
-            for _ in range(20):
-                u = scale_into(dom, draw(), I, target)
-                if u is not None and family_max(dom, u, I) < delta:
-                    break
-            if u is None:
-                u = dom.zero()
-            x = dom.add(x0, u)
-            samples.append((x, family_max(cod, cod.sub(op.apply(x), tx0), J)))
-        return samples
+    def batch(I, delta):
+        xs = (dom.add(x0, u) for u, _ in _neighbourhood(dom, I, delta, rng, n_samples))
+        samples = [(x, family_max(cod, cod.sub(op.apply(x), tx0), J)) for x in xs]
+        return all(r < epsilon for _, r in samples), samples
 
-    if searched:
-        I = _covering_index_set(dom, J)
-        delta, recipe = 1.0, "searched"
-        samples = []
-        while delta >= 1e-12:
-            samples = run_batch(I, delta, n_samples)
-            if all(r < epsilon for _, r in samples):
-                break
-            delta /= 2.0
-        passed = delta >= 1e-12
-        return ContinuityWitness(J, float(epsilon), I, delta, samples, recipe, passed, seed)
-
-    samples = run_batch(I, delta, n_samples)
-    passed = all(r < epsilon for _, r in samples)
-    return ContinuityWitness(J, float(epsilon), I, float(delta), samples, recipe, passed, seed)
+    I, delta, passed, samples = _sampled_verdict(dom, J, I, delta, batch)
+    return ContinuityWitness(J, float(epsilon), I, delta, samples, recipe, passed, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -716,14 +687,7 @@ def _linmap_continuity_delta(L: LinearMap, dom, cod, J: IndexSet, epsilon: float
         I, delta, _ = continuity_delta(op, dom.zero(), J, eps)
         return I, delta
     if isinstance(L, IdentityScaled):
-        c = abs(float(L.c))
-        if isinstance(dom, SigmaRhoSpace):
-            factor = c**dom.rho
-        elif isinstance(dom, SchwartzSpace):
-            factor = c
-        else:
-            factor = max(1.0, c)
-        return _covering_index_set(dom, J), min(0.999, eps / max(factor, 1e-300))
+        return _covering_index_set(dom, J), min(0.999, eps / max(dom.scalar_factor(L.c), 1e-300))
     if isinstance(L, Diagonal):
         m = max(int(k) for k in J.ids)
         dmax = max((abs(float(L.entry(k))) for k in range(1, m + 1)), default=0.0)

@@ -32,12 +32,14 @@ MERGE_TOL = 1e-12
 _CANDIDATE_CACHE: dict = {}
 
 
+# Exact/inexact scalar helpers, shared with spaces.py.  Type tests, not
+# isinstance: Fraction's ABC metaclass makes isinstance slow on every float.
 def _is_exact(c) -> bool:
-    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+    return type(c) is int or type(c) is Fraction
 
 
 def _inexact(c):
-    return float(c) if isinstance(c, Fraction) else c
+    return float(c) if type(c) is Fraction else c
 
 
 def _cadd(a, b):
@@ -192,7 +194,7 @@ def _decay_close(a, b) -> bool:
 
 
 def _decay_add(a, b):
-    return tuple(Fraction(x) + Fraction(y) if (_is_exact(x) and _is_exact(y)) else float(x) + float(y) for x, y in zip(a, b))
+    return tuple(_cadd(x, y) for x, y in zip(a, b))
 
 
 class GaussPolyFn:

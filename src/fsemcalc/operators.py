@@ -333,19 +333,21 @@ def linmap_compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
 # analytic derivatives
 
 
+def _scalar(op: Operator):
+    """c when the linear operator op is x -> c x, else None."""
+    if op.kind == "scale":
+        return op.params["a"]
+    if op.kind == "poly":
+        return op.params["coeffs"][0]
+    return 1 if op.kind in ("identity", "power", "cross_power") else None
+
+
 def analytic_frechet(op: Operator, xbar) -> LinearMap:
     """Closed-form derivative of a catalogue operator at a base point."""
     k = op.kind
     if op.is_linear:
-        if k == "identity":
-            return IdentityScaled(1, op.codomain)
-        if k == "scale":
-            return IdentityScaled(op.params["a"], op.codomain)
-        if k in ("power", "cross_power"):
-            return IdentityScaled(1, op.codomain)
-        if k == "poly":
-            return IdentityScaled(op.params["coeffs"][0], op.codomain)
-        return OperatorMap(op)
+        c = _scalar(op)
+        return OperatorMap(op) if c is None else IdentityScaled(c, op.codomain)
     if k in ("power", "cross_power"):
         m = int(op.params["m"])
         if isinstance(xbar, GaussPolyFn):
@@ -473,78 +475,54 @@ def seminorm_bound(op: Operator, q_sid):
         raise ValueError(f"{op.kind} is not linear")
     k = op.kind
     dom = op.domain
-    if isinstance(dom, SchwartzSpace):
-        n = dom.n
-        alpha, beta = dom.normalize_sid(q_sid)
-        if k in ("identity",) or (k in ("power", "cross_power")):
-            return [(alpha, beta)], 1.0
-        if k == "poly":
-            return [(alpha, beta)], abs(float(op.params["coeffs"][0]))
-        if k == "scale":
-            return [(alpha, beta)], abs(float(op.params["a"]))
-        if k == "diff":
-            gamma = mi.check(op.params["gamma"])
-            return [(alpha, mi.add(beta, gamma))], 1.0
-        if k == "mult":
-            g = op.params["g"]
-            ids, c = [], 0.0
-            for kk in mi.downward_closure(beta):
-                ids.append((alpha, kk))
-                c = max(c, mi.binom(beta, kk) * _snorm(g, mi.zero(n), mi.sub(beta, kk)))
-            return ids, c
-        if k == "monomial":
-            lam = mi.check(op.params["lam"])
-            lo = tuple(max(0, b - l) for b, l in zip(beta, lam))
-            ids, c = [], 0.0
-            for kk in mi.box_range(lo, beta):
-                a_k = _monomial_coef(lam, beta, kk)
-                if a_k == 0:
-                    continue
-                shift = tuple(a + l - b + k2 for a, l, b, k2 in zip(alpha, lam, beta, kk))
-                ids.append((shift, kk))
-                c = max(c, mi.binom(beta, kk) * a_k)
-            return ids, c
-        if k in ("fourier", "inv_fourier"):
-            if n != 1:
-                raise NotImplementedError("fourier bound: n = 1 only")
-            a, b = alpha[0], beta[0]
-            # |xi^a D^b Ff| <= (2 pi)^{b-a} int |D^a(t^b f)| dt and the
-            # integral is <= pi (|h|_{0,0} + |h|_{2,0}) for h = D^a(t^b f);
-            # expand h by the monomial rule into seminorms of f.
-            ids, cmax = [], 0.0
-            lo = max(0, a - b)
-            for kk in range(lo, a + 1):
-                a_k = _falling(b, a - kk)
-                if a_k == 0:
-                    continue
-                for j in (0, 2):
-                    ids.append(((j + b - a + kk,), (kk,)))
-                cmax = max(cmax, math.comb(a, kk) * a_k)
-            c = (2 * math.pi) ** (b - a) * math.pi * cmax
-            return ids, c
-        raise ValueError(f"no bound recipe for {k} on schwartz")
-    kq = dom.normalize_sid(q_sid)
-    if isinstance(dom, SigmaRhoSpace):
-        if k == "identity" or k in ("power", "cross_power"):
-            factor = 1.0
-        elif k == "scale":
-            factor = abs(float(op.params["a"])) ** dom.rho
-        elif k == "poly":
-            factor = abs(float(op.params["coeffs"][0])) ** dom.rho
-        else:
-            raise ValueError(f"no bound recipe for {k} on sigma_rho")
-        return [kq], factor
-    if isinstance(dom, SSpace) or isinstance(op.codomain, SSpace):
-        if k == "identity" or k in ("power", "cross_power"):
-            factor = 1.0
-        elif k == "scale":
-            factor = max(1.0, abs(float(op.params["a"])))
-        elif k == "poly":
-            factor = max(1.0, abs(float(op.params["coeffs"][0])))
-        else:
-            raise ValueError(f"no bound recipe for {k} on S")
-        return [kq], factor
-    raise ValueError("unsupported space")
+    sid = dom.normalize_sid(q_sid)
+    c = _scalar(op)
+    if c is not None:
+        return [sid], dom.scalar_factor(c)
+    # the remaining linear kinds are Schwartz-only (Operator checks this)
+    n = dom.n
+    alpha, beta = sid
+    if k == "diff":
+        gamma = mi.check(op.params["gamma"])
+        return [(alpha, mi.add(beta, gamma))], 1.0
+    if k == "mult":
+        g = op.params["g"]
+        ids, c = [], 0.0
+        for kk in mi.downward_closure(beta):
+            ids.append((alpha, kk))
+            c = max(c, mi.binom(beta, kk) * _snorm(g, mi.zero(n), mi.sub(beta, kk)))
+        return ids, c
+    if k == "monomial":
+        lam = mi.check(op.params["lam"])
+        lo = tuple(max(0, b - l) for b, l in zip(beta, lam))
+        ids, c = [], 0.0
+        for kk in mi.box_range(lo, beta):
+            a_k = _monomial_coef(lam, beta, kk)
+            if a_k == 0:
+                continue
+            shift = tuple(a + l - b + k2 for a, l, b, k2 in zip(alpha, lam, beta, kk))
+            ids.append((shift, kk))
+            c = max(c, mi.binom(beta, kk) * a_k)
+        return ids, c
+    if k in ("fourier", "inv_fourier"):
+        if n != 1:
+            raise NotImplementedError("fourier bound: n = 1 only")
+        a, b = alpha[0], beta[0]
+        # |xi^a D^b Ff| <= (2 pi)^{b-a} int |D^a(t^b f)| dt and the
+        # integral is <= pi (|h|_{0,0} + |h|_{2,0}) for h = D^a(t^b f);
+        # expand h by the monomial rule into seminorms of f.
+        ids, cmax = [], 0.0
+        lo = max(0, a - b)
+        for kk in range(lo, a + 1):
+            a_k = _falling(b, a - kk)
+            if a_k == 0:
+                continue
+            for j in (0, 2):
+                ids.append(((j + b - a + kk,), (kk,)))
+            cmax = max(cmax, math.comb(a, kk) * a_k)
+        c = (2 * math.pi) ** (b - a) * math.pi * cmax
+        return ids, c
+    raise ValueError(f"no bound recipe for {k} on schwartz")
 
 
 def linear_bound_check(op: Operator, J, *, rng, n_samples: int = 200) -> CheckReport:

@@ -19,7 +19,6 @@ __all__ = [
     "Neighborhood",
     "CheckReport",
     "family_max",
-    "nbhd_contains",
     "f_norm",
     "axiom_report",
     "nbhd_algebra_check",
@@ -28,6 +27,7 @@ __all__ = [
 
 REL_SLACK = 1e-9  # float slack for inequalities that hold exactly in the math
 ZERO_TOL = 1e-12
+VANISH_TOL = 1e-9  # axiom (iv): the schedule must push p below this
 
 
 @dataclass(frozen=True)
@@ -94,10 +94,6 @@ class Neighborhood:
         return family_max(self.space, self.space.sub(x, self.center), self.I) < self.radius
 
 
-def nbhd_contains(nb: Neighborhood, x) -> bool:
-    return nb.contains(x)
-
-
 def _wrap(t: float) -> float:
     return t / (1.0 + t)
 
@@ -153,27 +149,25 @@ def _resolve_seminorm(space, p) -> FSeminorm:
     return FSeminorm(sid, lambda x, _s=sid: space.seminorm(_s, x))
 
 
-def _vanishing_schedule(p: FSeminorm, space, x, schedule, tol: float):
+def _vanishing_schedule(p: FSeminorm, space, x):
     """Axiom (iv) probe: p(a_n x) -> 0 along a decreasing scalar schedule.
 
     Passes when the run is nonincreasing after the 5th step and the final
-    value is below tol.  The default schedule 2^-n, n = 1..40, is extended
+    value is below VANISH_TOL.  The schedule 2^-n, n = 1..40, is extended
     (up to n = 400) while the trend is certified decreasing but the final
-    value has not yet reached tol: slowly decaying families (|t|^rho with
-    small rho) need the longer run to reach the threshold.
+    value has not yet reached the threshold: slowly decaying families
+    (|t|^rho with small rho) need the longer run to reach it.
     """
-    if schedule is None:
-        schedule = [0.5**n for n in range(1, 41)]
-    vals = [p(space.scale(a, x)) for a in schedule]
-    n_extend = len(schedule)
-    while vals[-1] >= tol and n_extend < 400:
+    vals = [p(space.scale(0.5**n, x)) for n in range(1, 41)]
+    n_extend = 40
+    while vals[-1] >= VANISH_TOL and n_extend < 400:
         n_extend += 1
         vals.append(p(space.scale(0.5**n_extend, x)))
     monotone = all(vals[i + 1] <= vals[i] * (1 + REL_SLACK) + ZERO_TOL for i in range(5, len(vals) - 1))
-    return vals[-1] < tol and monotone, vals
+    return vals[-1] < VANISH_TOL and monotone, vals
 
 
-def axiom_report(space, p, *, rng=None, n_samples: int = 100, schedule=None, tol: float = 1e-9, sampler=None) -> CheckReport:
+def axiom_report(space, p, *, rng=None, n_samples: int = 100) -> CheckReport:
     """Check the F-seminorm axioms and their derived properties on samples.
 
     (i) nonnegativity, (ii) subadditivity, (iii) contraction under |a| <= 1,
@@ -184,12 +178,11 @@ def axiom_report(space, p, *, rng=None, n_samples: int = 100, schedule=None, tol
     """
     rng = rng or random.Random(0)
     p = _resolve_seminorm(space, p)
-    draw = sampler or (lambda: space.random_element(rng))
 
     theta = space.zero()
     v0 = p(theta)
     if not (abs(v0) <= ZERO_TOL):
-        return CheckReport("axioms", False, {"axiom": "(v) p(theta)=0", "value": v0}, 0, tol)
+        return CheckReport("axioms", False, {"axiom": "(v) p(theta)=0", "value": v0}, 0, VANISH_TOL)
 
     def fail(axiom, x, extra):
         ce = {"axiom": axiom, **extra}
@@ -197,11 +190,11 @@ def axiom_report(space, p, *, rng=None, n_samples: int = 100, schedule=None, tol
             ce["element"] = space.element_to_json(x)
         except Exception:
             ce["element"] = repr(x)
-        return CheckReport("axioms", False, ce, n_samples, tol)
+        return CheckReport("axioms", False, ce, n_samples, VANISH_TOL)
 
     for i in range(n_samples):
-        x = draw()
-        y = draw()
+        x = space.random_element(rng)
+        y = space.random_element(rng)
         px, py = p(x), p(y)
         if px < 0 or py < 0:
             return fail("(i) nonnegativity", x, {"value": min(px, py)})
@@ -211,7 +204,7 @@ def axiom_report(space, p, *, rng=None, n_samples: int = 100, schedule=None, tol
         a = rng.uniform(-1, 1)
         if p(space.scale(a, x)) > px * (1 + REL_SLACK) + ZERO_TOL:
             return fail("(iii) contraction", x, {"a": a})
-        ok, vals = _vanishing_schedule(p, space, x, schedule, tol)
+        ok, vals = _vanishing_schedule(p, space, x)
         if not ok:
             return fail("(iv) vanishing", x, {"final": vals[-1], "len": len(vals)})
         if abs(p(space.scale(-1, x)) - px) > px * REL_SLACK + ZERO_TOL:
@@ -232,7 +225,7 @@ def axiom_report(space, p, *, rng=None, n_samples: int = 100, schedule=None, tol
             a = rng.uniform(-5, 5)
             if p(space.scale(a, x)) > ZERO_TOL:
                 return fail("(ix) kernel absorption", x, {"a": a})
-    return CheckReport("axioms", True, None, n_samples, tol, details={"sid": str(p.sid)})
+    return CheckReport("axioms", True, None, n_samples, VANISH_TOL, details={"sid": str(p.sid)})
 
 
 def nbhd_algebra_check(space, *, rng=None, n_samples: int = 200, id_pool: int = 6) -> CheckReport:

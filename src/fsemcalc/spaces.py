@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 
 from . import multiindex as mi
-from .gausspoly import GaussPolyFn, SparsePoly, GaussPolyTerm
+from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul
 
 __all__ = [
     "SeqElement",
@@ -31,22 +31,6 @@ __all__ = [
     "sigma_inclusion_check",
     "scaling_property_check",
 ]
-
-
-def _exact(v) -> bool:
-    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-
-
-def _num_add(a, b):
-    if _exact(a) and _exact(b):
-        return Fraction(a) + Fraction(b)
-    return float(a) + float(b)
-
-
-def _num_mul(a, b):
-    if _exact(a) and _exact(b):
-        return Fraction(a) * Fraction(b)
-    return float(a) * float(b)
 
 
 class SeqElement:
@@ -87,13 +71,13 @@ class SeqElement:
 
     def add(self, other: "SeqElement") -> "SeqElement":
         n, pairs = self._zip(other)
-        return SeqElement([_num_add(a, b) for a, b in pairs], _num_add(self.tail, other.tail))
+        return SeqElement([_cadd(a, b) for a, b in pairs], _cadd(self.tail, other.tail))
 
     def sub(self, other: "SeqElement") -> "SeqElement":
         return self.add(other.scale(-1))
 
     def scale(self, a) -> "SeqElement":
-        return SeqElement([_num_mul(a, v) for v in self.prefix], _num_mul(a, self.tail))
+        return SeqElement([_cmul(a, v) for v in self.prefix], _cmul(a, self.tail))
 
     def power(self, m: int) -> "SeqElement":
         if m < 1:
@@ -106,7 +90,7 @@ class SeqElement:
         def ap(t):
             acc = 0
             for a in reversed(coeffs):
-                acc = _num_mul(_num_add(acc, a), t)
+                acc = _cmul(_cadd(acc, a), t)
             return acc
 
         return SeqElement([ap(v) for v in self.prefix], ap(self.tail))
@@ -185,6 +169,13 @@ class _SequenceSpaceBase:
         a nonzero element always lives here (prefix plus one tail index)."""
         return list(range(1, x.support_len() + 2))
 
+    def p_sup_prefix(self, x: SeqElement, m: int) -> float:
+        return max((float(abs(x.entry(k))) for k in range(1, m + 1)), default=0.0)
+
+    def random_direction(self, rng) -> SeqElement:
+        x = self.random_element(rng)
+        return x if not x.is_zero() else SeqElement([1], 0)
+
 
 class SigmaRhoSpace(_SequenceSpaceBase):
     """sigma_rho: finite-support sequences, |x|_{rho,k} = |t_k|^rho."""
@@ -214,6 +205,10 @@ class SigmaRhoSpace(_SequenceSpaceBase):
 
     fnorm_base = seminorm
 
+    def scalar_factor(self, c) -> float:
+        """K with p(c x) <= K p(x) for every p in the family: |c|^rho."""
+        return abs(float(c)) ** self.rho
+
     def metric(self, x: SeqElement, y: SeqElement) -> float:
         # computed on the canonical difference element, so translation
         # invariance is exact whenever the entries are exact
@@ -226,9 +221,6 @@ class SigmaRhoSpace(_SequenceSpaceBase):
         self.validate(x)
         return max((float(abs(v)) for v in x.prefix), default=0.0)
 
-    def p_sup_prefix(self, x: SeqElement, m: int) -> float:
-        return max((float(abs(x.entry(k))) for k in range(1, m + 1)), default=0.0)
-
     def random_element(self, rng, max_support: int = 6, exact: bool = False) -> SeqElement:
         k = rng.randint(0, max_support)
         if exact:
@@ -236,10 +228,6 @@ class SigmaRhoSpace(_SequenceSpaceBase):
         else:
             vals = [rng.uniform(-3, 3) for _ in range(k)]
         return SeqElement(vals, 0)
-
-    def random_direction(self, rng) -> SeqElement:
-        x = self.random_element(rng)
-        return x if not x.is_zero() else SeqElement([1], 0)
 
 
 class SSpace(_SequenceSpaceBase):
@@ -259,6 +247,10 @@ class SSpace(_SequenceSpaceBase):
         k = self.normalize_sid(sid)
         t = float(abs(x.entry(k)))
         return t / (1.0 + t)
+
+    def scalar_factor(self, c) -> float:
+        """K with p(c x) <= K p(x) for every p in the family: max(1, |c|)."""
+        return max(1.0, abs(float(c)))
 
     def fnorm_base(self, sid, x: SeqElement) -> float:
         # the F-norm construction wraps |t_k| itself; the wrap of the raw
@@ -286,9 +278,6 @@ class SSpace(_SequenceSpaceBase):
     def fnorm(self, x: SeqElement) -> float:
         return self.metric(x, SeqElement.zero())
 
-    def p_sup_prefix(self, x: SeqElement, m: int) -> float:
-        return max((float(abs(x.entry(k))) for k in range(1, m + 1)), default=0.0)
-
     def random_element(self, rng, max_support: int = 6, exact: bool = False) -> SeqElement:
         k = rng.randint(0, max_support)
         if exact:
@@ -298,10 +287,6 @@ class SSpace(_SequenceSpaceBase):
             vals = [rng.uniform(-3, 3) for _ in range(k)]
             tail = rng.choice([0, 0, rng.uniform(-2, 2)])
         return SeqElement(vals, tail)
-
-    def random_direction(self, rng) -> SeqElement:
-        x = self.random_element(rng)
-        return x if not x.is_zero() else SeqElement([1], 0)
 
 
 class SchwartzSpace:
@@ -352,6 +337,10 @@ class SchwartzSpace:
     def seminorm(self, sid, f: GaussPolyFn) -> float:
         alpha, beta = self.normalize_sid(sid)
         return f.diff(beta).monomial_mul(alpha).sup_abs()
+
+    def scalar_factor(self, c) -> float:
+        """K with p(c x) <= K p(x) for every p in the family: |c| (homogeneous)."""
+        return abs(float(c))
 
     def enum_ids(self, count: int):
         """(alpha, beta) ordered by |alpha| + |beta|, then lexicographically."""

@@ -89,6 +89,13 @@ def test_exit_one_on_non_finite_config(tmp_path, capsys):
         assert len(err) == 1 and token in err[0]
 
 
+def test_exit_one_on_integer_too_large_for_a_float(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry(epsilon=10**400)]})
+    assert main(["suite", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "401 digits" in err[0]
+
+
 def test_non_finite_witness_fails_the_suite(tmp_path, monkeypatch):
     witness = {"ratio": float("nan"), "bounds": [1.0, float("-inf")]}
     monkeypatch.setitem(suites.IDENTITY_CASES, "nan-case", lambda rng: CheckReport("nan", True, witness, 1, 0.0))

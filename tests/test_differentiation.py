@@ -262,6 +262,17 @@ def test_continuity_searched_fallback():
     assert w.passed and w.recipe == "searched"
 
 
+def test_both_verdicts_refuse_samples_outside_the_punctured_neighbourhood(monkeypatch):
+    # every direction lies in the kernel of I = {1}: no draw can land in
+    # 0 < max_I p(u) < delta, so neither verdict may pass on x0 itself
+    space = SSpace()
+    monkeypatch.setattr(space, "random_direction", lambda rng: SeqElement([0, 0, 5]))
+    op = Operator("power", {"m": 2}, space, space)
+    for verdict in (continuity_verify, verify_frechet):
+        with pytest.raises(RuntimeError, match="punctured neighborhood"):
+            verdict(op, SeqElement([1]), [1], 0.1, n_samples=20)
+
+
 def test_continuity_of_linear_combinations():
     # a1 T1 + a2 T2 stays continuous when the parts are: the polynomial
     # operator realizes the combination (here 2 Q^2 - Q^3)

@@ -13,7 +13,6 @@ from fsemcalc.seminorms import (
     family_max,
     index_set,
     nbhd_algebra_check,
-    nbhd_contains,
     separating_check,
 )
 from fsemcalc.spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace
@@ -40,9 +39,9 @@ def test_index_set_dedup_and_nonempty():
 
 def test_nbhd_contains_strict():
     nb = Neighborhood(SIGMA, SeqElement.zero(), index_set(SIGMA, [1]), 0.5)
-    assert nbhd_contains(nb, SeqElement([0.2]))  # sqrt(0.2) ~ 0.447 < 0.5
-    assert nbhd_contains(nb, nb.center)
-    assert not nbhd_contains(nb, SeqElement([0.25]))  # exactly 0.5, strict
+    assert nb.contains(SeqElement([0.2]))  # sqrt(0.2) ~ 0.447 < 0.5
+    assert nb.contains(nb.center)
+    assert not nb.contains(SeqElement([0.25]))  # exactly 0.5, strict
 
 
 def test_nbhd_radius_positive():
