@@ -21,6 +21,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import multiindex as mi
+from .gausspoly import _is_exact
 from .operators import (
     Diagonal,
     IdentityScaled,
@@ -73,7 +75,7 @@ def default_t_schedule():
 
 
 def _reciprocal(t):
-    if isinstance(t, (int, Fraction)):
+    if _is_exact(t):
         return Fraction(1, 1) / Fraction(t)
     return 1.0 / t
 
@@ -257,8 +259,6 @@ def _covering_index_set(dom, cod_J: IndexSet) -> IndexSet:
         ids = list(cod_J.ids)
         alpha = ids[0][0]
         beta = ids[0][1]
-        from . import multiindex as mi
-
         for a, b in ids[1:]:
             alpha, beta = mi.join(alpha, a), mi.join(beta, b)
         closure = [(a, b) for a in mi.downward_closure(alpha) for b in mi.downward_closure(beta)]
@@ -288,8 +288,6 @@ def delta_constructor(op: Operator, xbar, J, epsilon: float):
     if op.kind in ("power", "cross_power"):
         m = int(op.params["m"])
         if isinstance(dom, SchwartzSpace):
-            from . import multiindex as mi
-
             I = _covering_index_set(dom, J)
             beta = mi.zero(dom.n)
             for _, b in J.ids:
@@ -337,26 +335,10 @@ def _kernel_samples(dom, I: IndexSet, rng, count: int = 20):
 
 
 def scale_into(dom, u, I: IndexSet, target: float):
-    """Scale u so family_max(u, I) lands (essentially) on target > 0."""
+    """u scaled so that max_I p lands on target > 0, in closed form through
+    the space's level_scalar; None when max_I p(u) = 0."""
     c = family_max(dom, u, I)
-    if c == 0:
-        return None
-    if isinstance(dom, SigmaRhoSpace):
-        return dom.scale((target / c) ** (1.0 / dom.rho), u)
-    if isinstance(dom, SchwartzSpace):
-        return dom.scale(target / c, u)
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if family_max(dom, dom.scale(hi, u), I) >= target:
-            break
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if family_max(dom, dom.scale(mid, u), I) < target:
-            lo = mid
-        else:
-            hi = mid
-    return dom.scale(lo, u)
+    return None if c == 0 else dom.scale(dom.level_scalar(c, target), u)
 
 
 def _dr_targets(delta: float, rng, n: int):
@@ -368,17 +350,24 @@ def _dr_targets(delta: float, rng, n: int):
 
 def _resolve_delta(delta_source, recipe_fn, dom):
     """(I, delta, recipe, source) for a delta_source: an explicit (I, delta)
-    pair, "constructive" (recipe_fn() must succeed), "auto" (recipe_fn(),
-    else search) or anything else (search).  I = None means search."""
-    if isinstance(delta_source, tuple):
+    pair (tuple or 2-item list), "constructive" (recipe_fn() must succeed),
+    "auto" (recipe_fn(), else search) or "searched"; I = None means search."""
+    if isinstance(delta_source, (tuple, list)) and len(delta_source) == 2:
         I, delta = delta_source
-        return (I if isinstance(I, IndexSet) else index_set(dom, I)), delta, "explicit", "explicit"
+        I = I if isinstance(I, IndexSet) else index_set(dom, I)
+        if not I.ids:
+            raise ValueError("explicit delta_source needs a nonempty index set I")
+        if isinstance(delta, bool) or not isinstance(delta, (int, float, Fraction)) or not 0 < delta < math.inf:
+            raise ValueError(f"explicit delta must be a finite number > 0, got {delta!r}")
+        return I, delta, "explicit", "explicit"
     if delta_source in ("auto", "constructive"):
         try:
             return (*recipe_fn(), "constructive")
         except NoRecipeError:
             if delta_source == "constructive":
                 raise
+    elif delta_source != "searched":
+        raise ValueError(f"unknown delta_source {delta_source!r}: expected auto, constructive, searched or [I, delta]")
     return None, None, "searched", "searched"
 
 

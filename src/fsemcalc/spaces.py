@@ -209,6 +209,10 @@ class SigmaRhoSpace(_SequenceSpaceBase):
         """K with p(c x) <= K p(x) for every p in the family: |c|^rho."""
         return abs(float(c)) ** self.rho
 
+    def level_scalar(self, c: float, target: float) -> float:
+        """s > 0 with p(s x) = target wherever p(x) = c: (target/c)^(1/rho)."""
+        return (target / c) ** (1.0 / self.rho)
+
     def metric(self, x: SeqElement, y: SeqElement) -> float:
         # computed on the canonical difference element, so translation
         # invariance is exact whenever the entries are exact
@@ -251,6 +255,13 @@ class SSpace(_SequenceSpaceBase):
     def scalar_factor(self, c) -> float:
         """K with p(c x) <= K p(x) for every p in the family: max(1, |c|)."""
         return max(1.0, abs(float(c)))
+
+    def level_scalar(self, c: float, target: float) -> float:
+        """s > 0 with p(s x) = target wherever p(x) = c: p = t/(1+t) is
+        increasing, so |t_k| = p/(1-p) and s = target(1-c)/((1-target)c).
+        p < 1 on S, so a target at or above 1 is capped just below 1."""
+        target = min(target, 1.0 - 2.0**-53)
+        return target * (1.0 - c) / ((1.0 - target) * c)
 
     def fnorm_base(self, sid, x: SeqElement) -> float:
         # the F-norm construction wraps |t_k| itself; the wrap of the raw
@@ -341,6 +352,10 @@ class SchwartzSpace:
     def scalar_factor(self, c) -> float:
         """K with p(c x) <= K p(x) for every p in the family: |c| (homogeneous)."""
         return abs(float(c))
+
+    def level_scalar(self, c: float, target: float) -> float:
+        """s > 0 with p(s x) = target wherever p(x) = c: target/c."""
+        return target / c
 
     def enum_ids(self, count: int):
         """(alpha, beta) ordered by |alpha| + |beta|, then lexicographically."""

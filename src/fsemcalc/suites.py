@@ -49,12 +49,6 @@ def derive_seed(base: int, name: str) -> int:
     return (int(base) ^ zlib.crc32(name.encode("utf-8"))) & 0x7FFFFFFF
 
 
-def element_from_json(space, doc):
-    if isinstance(space, SchwartzSpace):
-        return GaussPolyFn.from_json(doc)
-    return SeqElement.from_json(doc)
-
-
 def linmap_from_json(space_cod, doc):
     form = doc["form"]
     if form == "diagonal":
@@ -195,10 +189,10 @@ def _run_order_case(entry: dict, rng):
     )
 
     op = Operator.from_json(entry["operator"])
-    point = element_from_json(op.domain, entry["point"])
+    point = op.domain.element_from_json(entry["point"])
     claim = entry.get("claim", entry.get("params", {}).get("claim", "credit"))
     budget = int(entry.get("budget", entry.get("params", {}).get("budget", 100)))
-    directions = [element_from_json(op.domain, d) for d in entry.get("directions", [])]
+    directions = [op.domain.element_from_json(d) for d in entry.get("directions", [])]
     if claim == "credit":
         if not directions:
             directions = [op.domain.random_direction(rng) for _ in range(5)]
@@ -264,7 +258,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
             payload = {"kind": "order", "passed": passed, "cases": [r.to_json() for r in reports]}
     else:
         op = Operator.from_json(entry["operator"])
-        point = element_from_json(op.domain, entry["point"])
+        point = op.domain.element_from_json(entry["point"])
         J = index_set(op.codomain, _sid_list(op.codomain, params["J"]))
         epsilon = float(params.get("epsilon", 0.1))
         candidate = None
@@ -296,7 +290,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
             )
             payload, passed = w.to_json(op.domain), w.passed
         else:  # gateaux
-            v = element_from_json(op.domain, entry["direction"])
+            v = op.domain.element_from_json(entry["direction"])
             L = candidate or analytic_frechet(op, point)
             sched = None
             if "t_schedule" in params:

@@ -113,6 +113,32 @@ def test_non_finite_witness_fails_the_suite(tmp_path, monkeypatch):
     assert entry["witness"]["counterexample"] == {"ratio": "nan", "bounds": [1.0, "-inf"]}
 
 
+def test_delta_source_list_pair_is_explicit(tmp_path):
+    entry = frechet_entry()
+    entry["params"]["delta_source"] = [[1], 0.01]
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    out = tmp_path / "report.json"
+    assert main(["frechet", "--config", cfg, "--out", str(out)]) == 0
+    w = json.loads(out.read_text())["suites"][0]["witness"]
+    assert w["delta_source"] == "explicit" and w["I"] == ["1"] and w["delta"] == 0.01
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["constructve", [[1], 0], [[1], "0.01"], [[], 0.01], [[1]]],
+    ids=["typo", "zero-delta", "string-delta", "empty-I", "one-item"],
+)
+def test_exit_one_on_bad_delta_source(tmp_path, capsys, source):
+    entry = frechet_entry()
+    entry["params"]["delta_source"] = source
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["frechet", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config:")
+    if source == "constructve":
+        assert "'constructve'" in err[0]
+
+
 def test_exit_one_on_unknown_suite_name(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry("a")]})
     assert main(["suite", "--config", cfg, "--suite", "nope"]) == 1

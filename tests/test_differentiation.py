@@ -225,16 +225,41 @@ def test_verify_frechet_power4_two_term_point_no_overflow():
 
 def test_scale_into_lands_on_target():
     rng = random.Random(7)
-    for space in (SIGMA, S):
-        I = index_set(space, [1, 2])
+    delta = 0.01
+    cases = [(SigmaRhoSpace(0.3), [1, 2]), (SIGMA, [1, 2]), (S, [1, 2]), (SCH, [((0,), (0,)), ((1,), (0,))])]
+    for space, ids in cases:
+        I = index_set(space, ids)
         for _ in range(20):
             u0 = space.random_direction(rng)
-            u = scale_into(space, u0, I, 0.01)
-            if u is None:
-                continue
-            assert family_max(space, u, I) == pytest.approx(0.01, rel=1e-6)
-    f = scale_into(SCH, XGAUSS, index_set(SCH, [((0,), (0,))]), 0.25)
-    assert family_max(SCH, f, index_set(SCH, [((0,), (0,))])) == pytest.approx(0.25, rel=1e-9)
+            for target in (delta / 2, delta * (1 - 1e-6)):
+                u = scale_into(space, u0, I, target)
+                if u is None:
+                    continue
+                c = family_max(space, u, I)
+                assert c == pytest.approx(target, rel=1e-12) and c < delta
+
+
+def test_scale_into_on_s_caps_levels_at_or_above_one():
+    # p < 1 on S; a delta of 2 or more (a linear operator at epsilon >= 2) asks for such levels
+    I = index_set(S, [1, 2])
+    for target in (1.0, 1.5):
+        assert 0.99 < family_max(S, scale_into(S, SeqElement([2, -1]), I, target), I) <= 1.0
+
+
+def test_scale_into_on_s_evaluates_each_seminorm_once(monkeypatch):
+    calls = []
+    seminorm = SSpace.seminorm
+
+    def counted(self, sid, x):
+        calls.append(sid)
+        return seminorm(self, sid, x)
+
+    monkeypatch.setattr(SSpace, "seminorm", counted)
+    I = index_set(S, [1, 2])
+    u = scale_into(S, SeqElement([2, -1], Fraction(1, 2)), I, 0.01)
+    assert len(calls) <= len(I.ids)
+    monkeypatch.undo()
+    assert family_max(S, u, I) == pytest.approx(0.01, rel=1e-12)
 
 
 # -- continuity ------------------------------------------------------------------
