@@ -240,17 +240,14 @@ class FrechetWitness:
         }
 
 
-def dr_ratio(op: Operator, xbar, u, L: LinearMap, I, J) -> float:
-    """max_q q((T(xbar+u) - T(xbar) - L u) / max_{p in I} p(u)); the divisor
-    goes inside q because F-seminorms are not homogeneous."""
-    dom, cod = op.domain, op.codomain
-    I = I if isinstance(I, IndexSet) else index_set(dom, I)
-    J = J if isinstance(J, IndexSet) else index_set(cod, J)
-    c = family_max(dom, u, I)
+def dr_ratio(cod, residual, c: float, J) -> float:
+    """max_q q(residual / c) over q in J, for residual = T(xbar+u) - T(xbar)
+    - L u and the divisor c = max_{p in I} p(u) measured when the sample u
+    landed; it goes inside q because F-seminorms are not homogeneous."""
     if c == 0:
         raise ValueError("max_I p(u) = 0 belongs to the (DZ) branch")
-    num = cod.sub(cod.sub(op.apply(dom.add(xbar, u)), op.apply(xbar)), L.apply(u))
-    return family_max(cod, cod.scale(1.0 / c, num), J)
+    J = J if isinstance(J, IndexSet) else index_set(cod, J)
+    return family_max(cod, cod.scale(1.0 / c, residual), J)
 
 
 def _covering_index_set(dom, cod_J: IndexSet) -> IndexSet:
@@ -430,13 +427,14 @@ def verify_frechet(
     if L is None:
         L = analytic_frechet(op, xbar)
     I, delta, recipe, source = _resolve_delta(delta_source, lambda: delta_constructor(op, xbar, J, epsilon), dom)
+    tx = op.apply(xbar)
+
+    def residual(u):
+        return cod.sub(cod.sub(op.apply(dom.add(xbar, u)), tx), L.apply(u))
 
     def batch(I, delta):
-        dz = []
-        for u in _kernel_samples(dom, I, rng):
-            num = cod.sub(cod.sub(op.apply(dom.add(xbar, u)), op.apply(xbar)), L.apply(u))
-            dz.append((u, family_max(cod, num, J)))
-        dr = [(u, c, dr_ratio(op, xbar, u, L, I, J)) for u, c in _neighbourhood(dom, I, delta, rng, n_samples)]
+        dz = [(u, family_max(cod, residual(u), J)) for u in _kernel_samples(dom, I, rng)]
+        dr = [(u, c, dr_ratio(cod, residual(u), c, J)) for u, c in _neighbourhood(dom, I, delta, rng, n_samples)]
         passed = all(r <= EXACT_ZERO_TOL for _, r in dz) and all(r < epsilon for _, _, r in dr)
         return passed, (dz, dr)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .gausspoly import GaussPolyFn
 from .operators import Operator, analytic_gateaux
 from .seminorms import CheckReport, index_set, family_max
-from .spaces import SchwartzSpace, SeqElement
+from .spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace
 
 __all__ = [
     "Cone",
@@ -175,8 +175,6 @@ def credit_necessity_suite(rng=None, budget: int = 200) -> list[CheckReport]:
     nonnegative cone is order increasing with derivative directions staying
     in the cone.
     """
-    from .spaces import SigmaRhoSpace, SSpace  # local to avoid cycle noise
-
     rng = rng or random.Random(0)
     sch = SchwartzSpace(1)
     s_space = SSpace()
@@ -197,38 +195,19 @@ def credit_necessity_suite(rng=None, budget: int = 200) -> list[CheckReport]:
     named("square@schwartz absolute min", check_absolute_extremum(p2, theta_s, samples, "min"))
     named("square@schwartz credit point", is_credit_point(p2, theta_s, [gauss, sch.random_element(rng)]))
 
-    # cubed power on Schwartz space: credit point but not an extremum
-    # (positive Gaussian witness, t = +-1 splits the sign)
-    p3 = Operator("power", {"m": 3}, sch, sch)
-    named("cube@schwartz credit point", is_credit_point(p3, theta_s, [gauss]))
-    summary = directional_extremum_summary(p3, theta_s, gauss, [-1, 1])
-    named(
-        "cube@schwartz non-converse",
-        CheckReport(
-            "non_converse",
-            summary["verdict"] == "neither",
-            None if summary["verdict"] == "neither" else {"verdict": summary["verdict"]},
-            2,
-            CONE_SLACK,
-        ),
-    )
-
-    # cubed power on the sequence space S: same picture with w = (1, 1, ...)
-    r3 = Operator("power", {"m": 3}, s_space, s_space)
+    # cubed power: credit point but not an extremum, t = +-1 splits the sign
+    # (positive Gaussian witness on Schwartz space, w = (1, 1, ...) on S)
     theta = SeqElement.zero()
     w = SeqElement([], tail=1)
-    named("cube@s credit point", is_credit_point(r3, theta, [w, SeqElement([1, 2])]))
-    summary = directional_extremum_summary(r3, theta, w, [-1, 1])
-    named(
-        "cube@s non-converse",
-        CheckReport(
-            "non_converse",
-            summary["verdict"] == "neither",
-            None if summary["verdict"] == "neither" else {"verdict": summary["verdict"]},
-            2,
-            CONE_SLACK,
-        ),
-    )
+    for tag, space, origin, witness, directions in (
+        ("schwartz", sch, theta_s, gauss, [gauss]),
+        ("s", s_space, theta, w, [w, SeqElement([1, 2])]),
+    ):
+        p3 = Operator("power", {"m": 3}, space, space)
+        named(f"cube@{tag} credit point", is_credit_point(p3, origin, directions))
+        verdict = directional_extremum_summary(p3, origin, witness, [-1, 1])["verdict"]
+        ce = None if verdict == "neither" else {"verdict": verdict}
+        named(f"cube@{tag} non-converse", CheckReport("non_converse", ce is None, ce, 2, CONE_SLACK))
 
     # even power on S: absolute minimum at the origin
     r2 = Operator("power", {"m": 2}, s_space, s_space)

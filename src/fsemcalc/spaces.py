@@ -120,14 +120,10 @@ class SeqElement:
         return f"SeqElement({list(self.prefix)!r}, tail={self.tail!r})"
 
 
-class _SequenceSpaceBase:
-    """Shared element plumbing for sigma_rho and S."""
+class _SpaceBase:
+    """Element plumbing shared by every space; elements do the arithmetic."""
 
-    homogeneous = False
     separating = True  # verified by separating_check; claim carried here
-
-    def zero(self):
-        return SeqElement.zero()
 
     def add(self, x, y):
         return x.add(y)
@@ -140,6 +136,18 @@ class _SequenceSpaceBase:
 
     def is_zero(self, x):
         return x.is_zero()
+
+    def element_to_json(self, x):
+        return x.to_json()
+
+
+class _SequenceSpaceBase(_SpaceBase):
+    """Shared element plumbing for sigma_rho and S."""
+
+    homogeneous = False
+
+    def zero(self):
+        return SeqElement.zero()
 
     def normalize_sid(self, sid) -> int:
         k = int(sid)
@@ -154,9 +162,6 @@ class _SequenceSpaceBase:
         return Fraction(1, 2) ** self.normalize_sid(sid)
 
     has_weights = True
-
-    def element_to_json(self, x):
-        return x.to_json()
 
     def element_from_json(self, doc):
         return SeqElement.from_json(doc)
@@ -300,12 +305,11 @@ class SSpace(_SequenceSpaceBase):
         return SeqElement(vals, tail)
 
 
-class SchwartzSpace:
+class SchwartzSpace(_SpaceBase):
     """Schwartz space over the Gaussian-polynomial class (exact for n = 1)."""
 
     homogeneous = True
     has_weights = False
-    separating = True
 
     def __init__(self, n: int = 1):
         if n < 1:
@@ -321,18 +325,6 @@ class SchwartzSpace:
 
     def zero(self):
         return GaussPolyFn.zero(self.n)
-
-    def add(self, x, y):
-        return x.add(y)
-
-    def sub(self, x, y):
-        return x.sub(y)
-
-    def scale(self, a, x):
-        return x.scale(a)
-
-    def is_zero(self, x):
-        return x.is_zero()
 
     def normalize_sid(self, sid):
         alpha, beta = sid
@@ -374,9 +366,6 @@ class SchwartzSpace:
 
     def weight(self, sid):
         raise ValueError("no weights configured for the Schwartz family")
-
-    def element_to_json(self, f):
-        return f.to_json()
 
     def element_from_json(self, doc):
         return GaussPolyFn.from_json(doc)

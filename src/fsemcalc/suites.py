@@ -35,7 +35,14 @@ from .operators import (
     analytic_gateaux,
     linear_bound_check,
 )
-from .ordering import credit_necessity_suite, nonneg_cone
+from .ordering import (
+    check_absolute_extremum,
+    check_directional_extremum,
+    check_order_increasing,
+    credit_necessity_suite,
+    is_credit_point,
+    nonneg_cone,
+)
 from .seminorms import CheckReport, axiom_report, index_set, separating_check
 from .spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace, space_from_json
 
@@ -65,7 +72,7 @@ def linmap_from_json(space_cod, doc):
     raise ValueError(f"unknown linear map form {form!r}")
 
 
-def _sid_list(space, raw):
+def _sid_list(raw):
     return [tuple(s) if isinstance(s, list) else s for s in raw]
 
 
@@ -181,13 +188,6 @@ def _run_order_case(entry: dict, rng):
     """One configured ordered-optimization case:
     {"operator": ..., "point": ..., "claim": credit|max|min|increasing,
      "directions": [...], "budget": int}."""
-    from .ordering import (
-        check_absolute_extremum,
-        check_directional_extremum,
-        check_order_increasing,
-        is_credit_point,
-    )
-
     op = Operator.from_json(entry["operator"])
     point = op.domain.element_from_json(entry["point"])
     claim = entry.get("claim", entry.get("params", {}).get("claim", "credit"))
@@ -235,7 +235,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
         passed = report.passed
     elif kind == "axioms":
         space = space_from_json(entry["space"])
-        sids = _sid_list(space, params.get("ids") or [space.enum_ids(1)[0]])
+        sids = _sid_list(params.get("ids") or [space.enum_ids(1)[0]])
         n = int(params.get("n_samples", 200))
         per = max(1, n // len(sids))
         reports = [axiom_report(space, sid, rng=rng, n_samples=per) for sid in sids]
@@ -259,7 +259,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
     else:
         op = Operator.from_json(entry["operator"])
         point = op.domain.element_from_json(entry["point"])
-        J = index_set(op.codomain, _sid_list(op.codomain, params["J"]))
+        J = index_set(op.codomain, _sid_list(params["J"]))
         epsilon = float(params.get("epsilon", 0.1))
         candidate = None
         if "candidate" in params:

@@ -131,23 +131,30 @@ def test_estimate_gateaux_cube_at_origin():
 # -- (DR) / (DZ) ----------------------------------------------------------------
 
 
+def _dr(op, xbar, u, L, I, J):
+    """dr_ratio on the residual of u and c = max_I p(u), both built here."""
+    dom, cod = op.domain, op.codomain
+    residual = cod.sub(cod.sub(op.apply(dom.add(xbar, u)), op.apply(xbar)), L.apply(u))
+    return dr_ratio(cod, residual, family_max(dom, u, index_set(dom, I)), J)
+
+
 def test_dr_ratio_frozen_examples():
     L = analytic_frechet(Q2, ONE)
-    r = dr_ratio(Q2, ONE, SeqElement([Fraction(1, 100)]), L, [1], [1])
+    r = _dr(Q2, ONE, SeqElement([Fraction(1, 100)]), L, [1], [1])
     assert r == pytest.approx(0.001**0.5, rel=1e-12)
     Ls = analytic_frechet(R2, ONE)
-    r = dr_ratio(R2, ONE, SeqElement([Fraction(1, 100)]), Ls, [1], [1])
+    r = _dr(R2, ONE, SeqElement([Fraction(1, 100)]), Ls, [1], [1])
     assert r == pytest.approx(0.01, rel=2e-2)
     # linear: zero for any u (exactly, on the exact-rational fast path)
     ident = Operator("identity", {}, SIGMA, SIGMA)
-    r = dr_ratio(ident, ONE, SeqElement([Fraction(3, 10)]), analytic_frechet(ident, ONE), [1], [1])
+    r = _dr(ident, ONE, SeqElement([Fraction(3, 10)]), analytic_frechet(ident, ONE), [1], [1])
     assert r == 0.0
 
 
 def test_dr_ratio_kernel_rejected():
     L = analytic_frechet(Q2, ONE)
     with pytest.raises(ValueError):
-        dr_ratio(Q2, ONE, SeqElement([0, 0, 5]), L, [1, 2], [1])
+        _dr(Q2, ONE, SeqElement([0, 0, 5]), L, [1, 2], [1])
 
 
 def test_delta_recipes_frozen_values():
@@ -208,6 +215,25 @@ def test_verify_frechet_searched_fallback():
     poly = Operator("poly", {"coeffs": (1, 1)}, SIGMA, SIGMA)
     w = verify_frechet(poly, ONE, [1], 0.1, rng=rng, n_samples=40)
     assert w.passed and w.delta_source == "searched" and w.delta > 1e-12
+
+
+def test_verify_frechet_applies_t_to_xbar_once(monkeypatch):
+    # T(xbar) is one value per verdict, shared by every (DZ) and (DR) sample
+    # and by every batch of the searched fallback
+    xbar = SeqElement([3], tail=1)
+    apply = Operator.apply
+    calls = []
+
+    def counting(self, x):
+        calls.append(x is xbar)
+        return apply(self, x)
+
+    monkeypatch.setattr(Operator, "apply", counting)
+    for source in ("constructive", "searched"):
+        calls.clear()
+        w = verify_frechet(R2, xbar, [1, 2], 0.1, delta_source=source, rng=random.Random(7), n_samples=5)
+        assert w.passed and len(w.dz_samples) == 20 and len(w.dr_samples) == 5
+        assert sum(calls) == 1, source
 
 
 def test_verify_frechet_power4_two_term_point_no_overflow():

@@ -29,7 +29,11 @@ def test_every_layer_resolves_and_the_sample_loops_are_traced():
         differentiation.verify_frechet(op, x0, [1, 2], 0.1, rng=random.Random(0), n_samples=5)
     finally:
         uninstall()
-    spans = tracer.to_json()["spans"]
+    doc = tracer.to_json()
+    spans, pairs = doc["spans"], doc["pairs"]
     assert spans["differentiation.verify"][0] == 2
     assert spans["differentiation.scale_into"][0] >= 10
     assert spans["differentiation.dr_ratio"][0] == 5
+    # the divisor max_I p(u) comes from the neighbourhood sampler, so each
+    # (DR) sample measures only its ratio: one family_max per sample
+    assert pairs["differentiation.dr_ratio>seminorms.family_max"] == 5
