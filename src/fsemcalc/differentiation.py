@@ -33,6 +33,8 @@ from .operators import (
     SumMap,
     ZeroMap,
     analytic_frechet,
+    linmap_add,
+    linmap_scale,
     seminorm_bound,
 )
 from .seminorms import CheckReport, IndexSet, family_max, index_set
@@ -420,17 +422,33 @@ def verify_frechet(
     A candidate override L is checked against the recipe's (I, delta) for
     the operator, which is what makes wrong candidates fail rather than
     hide behind a tiny searched delta.
+
+    The residual is T(xbar+u) - T(xbar) - L u.  For power, cross_power and
+    poly it is the operator's closed-form Taylor remainder
+    (:meth:`Operator.taylor_remainder`), plus (L* - L) u when a candidate
+    L differs from the analytic derivative L*; no operator is applied in
+    the sample loop and no cancelling subtraction rounds the ratio.  Every
+    other kind evaluates the difference, with T(xbar) once per verdict.
     """
     rng = rng or random.Random(0)
     dom, cod = op.domain, op.codomain
     J = J if isinstance(J, IndexSet) else index_set(cod, J)
-    if L is None:
-        L = analytic_frechet(op, xbar)
     I, delta, recipe, source = _resolve_delta(delta_source, lambda: delta_constructor(op, xbar, J, epsilon), dom)
-    tx = op.apply(xbar)
+    remainder = op.taylor_remainder(xbar)
+    if remainder is None:
+        L = analytic_frechet(op, xbar) if L is None else L
+        tx = op.apply(xbar)
 
-    def residual(u):
-        return cod.sub(cod.sub(op.apply(dom.add(xbar, u)), tx), L.apply(u))
+        def residual(u):
+            return cod.sub(cod.sub(op.apply(dom.add(xbar, u)), tx), L.apply(u))
+
+    elif L is None:
+        residual = remainder
+    else:
+        gap = linmap_add(analytic_frechet(op, xbar), linmap_scale(-1, L))
+
+        def residual(u):
+            return cod.add(remainder(u), gap.apply(u))
 
     def batch(I, delta):
         dz = [(u, family_max(cod, residual(u), J)) for u in _kernel_samples(dom, I, rng)]
@@ -530,11 +548,11 @@ def continuity_verify(
     dom, cod = op.domain, op.codomain
     J = J if isinstance(J, IndexSet) else index_set(cod, J)
     I, delta, recipe, _ = _resolve_delta(delta_source, lambda: continuity_delta(op, x0, J, epsilon), dom)
-    tx0 = op.apply(x0)
+    neg_tx0 = cod.scale(-1, op.apply(x0))
 
     def batch(I, delta):
         xs = (dom.add(x0, u) for u, _ in _neighbourhood(dom, I, delta, rng, n_samples))
-        samples = [(x, family_max(cod, cod.sub(op.apply(x), tx0), J)) for x in xs]
+        samples = [(x, family_max(cod, cod.add(op.apply(x), neg_tx0), J)) for x in xs]
         return all(r < epsilon for _, r in samples), samples
 
     I, delta, passed, samples = _sampled_verdict(dom, J, I, delta, batch)

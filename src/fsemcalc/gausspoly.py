@@ -48,10 +48,21 @@ def _cadd(a, b):
     return _inexact(a) + _inexact(b)
 
 
+def _csub(a, b):
+    if _is_exact(a) and _is_exact(b):
+        return Fraction(a) - Fraction(b)
+    return _inexact(a) - _inexact(b)
+
+
 def _cmul(a, b):
     if _is_exact(a) and _is_exact(b):
         return Fraction(a) * Fraction(b)
     return _inexact(a) * _inexact(b)
+
+
+def _json_num(v):
+    """An exact value as its string ("1/3"), anything else as a float."""
+    return str(Fraction(v)) if _is_exact(v) else float(v)
 
 
 def _creal(c):
@@ -255,7 +266,9 @@ class GaussPolyFn:
         return GaussPolyFn(self.n, self.terms + other.terms)
 
     def sub(self, other: "GaussPolyFn") -> "GaussPolyFn":
-        return self.add(other.scale(-1))
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        return GaussPolyFn(self.n, self.terms + tuple(GaussPolyTerm(t.poly.neg(), t.decay) for t in other.terms))
 
     def scale(self, a) -> "GaussPolyFn":
         if a == 0:
@@ -560,11 +573,6 @@ class GaussPolyFn:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        def num(v):
-            if _is_exact(v):
-                return str(Fraction(v))
-            return float(v)
-
         terms = []
         for t in sorted(self.terms, key=lambda t: tuple(float(a) for a in t.decay)):
             poly = []
@@ -574,7 +582,7 @@ class GaussPolyFn:
                     poly.append({"exp": list(e), "re": str(Fraction(c)), "im": "0"})
                 else:
                     poly.append({"exp": list(e), "re": float(_creal(v)), "im": float(_cimag(v))})
-            terms.append({"decay": [num(a) for a in t.decay], "poly": poly})
+            terms.append({"decay": [_json_num(a) for a in t.decay], "poly": poly})
         return {"n": self.n, "terms": terms}
 
     @classmethod

@@ -4,9 +4,11 @@ Every operator knows how to apply itself and, where the theory supplies one,
 how to produce its derivative at a base point as a LinearMap in closed form:
 linear operators are their own derivative; power/polynomial operators have
 multiply-by-function derivatives on Schwartz space and diagonal derivatives
-on the sequence spaces.  The module also evaluates the explicit seminorm
-bounds for products, monomial multiples and powers, and exhibits (family, C)
-continuity certificates for the linear catalogue entries.
+on the sequence spaces; the same operators give their Taylor remainder
+T(x+u) - T(x) - T'(x) u in closed form, for the (DR) numerator.  The module
+also evaluates the explicit seminorm bounds for products, monomial
+multiples and powers, and exhibits (family, C) continuity certificates for
+the linear catalogue entries.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import multiindex as mi
-from .gausspoly import GaussPolyFn
+from .gausspoly import GaussPolyFn, _cmul, _is_exact
 from .seminorms import CheckReport, IndexSet, index_set
 from .spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace, space_from_json
 
@@ -112,6 +114,29 @@ class Operator:
             return x.inv_fourier()
         raise ValueError(f"unknown operator kind {k!r}")
 
+    def taylor_remainder(self, xbar):
+        """u -> T(xbar + u) - T(xbar) - T'(xbar) u in closed form, prepared
+        once from xbar, for the kinds power, cross_power and poly; None for
+        every other kind.
+
+        With T x = sum_j a_j x^j the remainder is sum_{i>=2} c_i u^i, where
+        c_i = sum_{j>=i} a_j C(j, i) xbar^{j-i}, so no cancelling
+        subtraction is made.  On the sequence spaces it is one entrywise
+        pass, exact when both entries are exact and float otherwise; on
+        Schwartz space the coefficient functions are built once, exactly
+        when xbar and the a_j are.
+        """
+        if self.kind == "poly":
+            a = tuple(self.params["coeffs"])
+        elif self.kind in ("power", "cross_power"):
+            a = (0,) * (int(self.params["m"]) - 1) + (1,)
+        else:
+            return None
+        if isinstance(xbar, GaussPolyFn):
+            return _function_remainder(a, xbar)
+        self.domain.validate(xbar)
+        return _sequence_remainder(a, xbar)
+
     def describe(self) -> str:
         k = self.kind
         if k in ("power", "cross_power"):
@@ -147,6 +172,72 @@ class Operator:
         if "lam" in params:
             params["lam"] = tuple(params["lam"])
         return cls(doc["kind"], params, dom, cod)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Taylor remainders
+
+
+def _entry_coeffs(a, t):
+    """(exact, floats) for the entry polynomial b -> sum_{i>=2} c_i b^i at
+    t, each in descending order c_m, ..., c_2; exact is None unless t and
+    every a_j are exact."""
+    m = len(a)
+    cs = [sum(a[j - 1] * math.comb(j, i) * t ** (j - i) for j in range(i, m + 1)) for i in range(m, 1, -1)]
+    return (cs if all(_is_exact(c) for c in cs) else None), [float(c) for c in cs]
+
+
+def _remainder_entry(coeffs, b):
+    exact, floats = coeffs
+    cs, b = (exact, b) if exact is not None and _is_exact(b) else (floats, float(b))
+    acc = 0
+    for c in cs:
+        acc = acc * b + c
+    return acc * b * b
+
+
+def _sequence_remainder(a, xbar: SeqElement):
+    prefix = [_entry_coeffs(a, v) for v in xbar.prefix]
+    tail = _entry_coeffs(a, xbar.tail)
+
+    def remainder(u: SeqElement) -> SeqElement:
+        up = u.prefix
+        vals = [
+            _remainder_entry(prefix[k] if k < len(prefix) else tail, up[k] if k < len(up) else u.tail)
+            for k in range(max(len(prefix), len(up)))
+        ]
+        return SeqElement(vals, _remainder_entry(tail, u.tail))
+
+    return remainder
+
+
+def _function_remainder(a, xbar: GaussPolyFn):
+    m = len(a)
+    powers = [None, xbar]
+    for _ in range(m - 3):
+        powers.append(powers[-1].mul(xbar))
+    # c_i = a_i + g_i; the constant a_i is not in the class, so it scales u^i
+    g = {}
+    for i in range(2, m + 1):
+        g[i] = GaussPolyFn.zero(xbar.n)
+        for j in range(i + 1, m + 1):
+            if a[j - 1]:
+                g[i] = g[i].add(powers[j - i].scale(_cmul(a[j - 1], math.comb(j, i))))
+
+    def remainder(u: GaussPolyFn) -> GaussPolyFn:
+        out = GaussPolyFn.zero(u.n)
+        if u.is_zero():
+            return out
+        ui = u
+        for i in range(2, m + 1):
+            ui = ui.mul(u)
+            if a[i - 1]:
+                out = out.add(ui.scale(a[i - 1]))
+            if not g[i].is_zero():
+                out = out.add(g[i].mul(ui))
+        return out
+
+    return remainder
 
 
 # ---------------------------------------------------------------------------

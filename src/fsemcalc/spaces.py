@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 
 from . import multiindex as mi
-from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul
+from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _csub, _json_num
 
 __all__ = [
     "SeqElement",
@@ -66,15 +66,13 @@ class SeqElement:
         return not self.prefix and self.tail == 0
 
     def _zip(self, other: "SeqElement"):
-        n = max(len(self.prefix), len(other.prefix))
-        return n, [(self.entry(i), other.entry(i)) for i in range(1, n + 1)]
+        return [(self.entry(i), other.entry(i)) for i in range(1, max(len(self.prefix), len(other.prefix)) + 1)]
 
     def add(self, other: "SeqElement") -> "SeqElement":
-        n, pairs = self._zip(other)
-        return SeqElement([_cadd(a, b) for a, b in pairs], _cadd(self.tail, other.tail))
+        return SeqElement([_cadd(a, b) for a, b in self._zip(other)], _cadd(self.tail, other.tail))
 
     def sub(self, other: "SeqElement") -> "SeqElement":
-        return self.add(other.scale(-1))
+        return SeqElement([_csub(a, b) for a, b in self._zip(other)], _csub(self.tail, other.tail))
 
     def scale(self, a) -> "SeqElement":
         return SeqElement([_cmul(a, v) for v in self.prefix], _cmul(a, self.tail))
@@ -107,7 +105,7 @@ class SeqElement:
         return hash((self.prefix, self.tail))
 
     def to_json(self) -> dict:
-        return {"prefix": [float(v) for v in self.prefix], "tail": float(self.tail)}
+        return {"prefix": [_json_num(v) for v in self.prefix], "tail": _json_num(self.tail)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SeqElement":

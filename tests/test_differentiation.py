@@ -218,8 +218,10 @@ def test_verify_frechet_searched_fallback():
 
 
 def test_verify_frechet_applies_t_to_xbar_once(monkeypatch):
-    # T(xbar) is one value per verdict, shared by every (DZ) and (DR) sample
-    # and by every batch of the searched fallback
+    # a kind without a closed-form remainder evaluates T(xbar) once per
+    # verdict, shared by every (DZ) and (DR) sample and by every batch of
+    # the searched fallback; a power kind applies no operator in its sample
+    # loop, so it makes at most one call per verdict, on any argument
     xbar = SeqElement([3], tail=1)
     apply = Operator.apply
     calls = []
@@ -229,17 +231,57 @@ def test_verify_frechet_applies_t_to_xbar_once(monkeypatch):
         return apply(self, x)
 
     monkeypatch.setattr(Operator, "apply", counting)
+    scale = Operator("scale", {"a": 2}, S, S)
     for source in ("constructive", "searched"):
         calls.clear()
         w = verify_frechet(R2, xbar, [1, 2], 0.1, delta_source=source, rng=random.Random(7), n_samples=5)
         assert w.passed and len(w.dz_samples) == 20 and len(w.dr_samples) == 5
+        assert len(calls) <= 1, source
+        calls.clear()
+        w = verify_frechet(scale, xbar, [1, 2], 0.1, delta_source=source, rng=random.Random(7), n_samples=5)
+        assert w.passed and len(w.dr_samples) == 5
         assert sum(calls) == 1, source
 
 
+def _exact_seminorm(space, t: Fraction) -> float:
+    t = abs(t)
+    return float(t) ** space.rho if isinstance(space, SigmaRhoSpace) else float(t / (1 + t))
+
+
+@pytest.mark.parametrize(
+    "o, xbar",
+    [
+        (Operator("power", {"m": 2}, SigmaRhoSpace(0.3), SigmaRhoSpace(0.3)), SeqElement([4, 1])),
+        (Q2, SeqElement([4, 1])),
+        (Operator("cross_power", {"m": 2}, SigmaRhoSpace(0.3), S), SeqElement([2])),
+    ],
+)
+def test_dr_ratios_are_the_exact_remainder_ratios(o, xbar):
+    # the (DR) numerator of an m = 2 power is u^2 entrywise; every reported
+    # ratio must be that value over the stored c, not subtraction rounding
+    w = verify_frechet(o, xbar, [1, 2], 0.01, rng=random.Random(5), n_samples=200)
+    assert w.passed and len(w.dr_samples) == 200
+    for u, c, ratio in w.dr_samples:
+        exact = max(_exact_seminorm(o.codomain, Fraction(u.entry(k)) ** 2 / Fraction(c)) for k in (1, 2))
+        assert abs(ratio - exact) <= 1e-12 * exact, (u, c, ratio, exact)
+
+
+def test_verify_frechet_wrong_candidate_fails_on_s_and_schwartz():
+    # a wrong candidate L adds (L* - L) u to the closed-form remainder
+    w = verify_frechet(R2, SeqElement([1]), [1], 0.1, L=Diagonal((3,), 0, S), rng=random.Random(5), n_samples=60)
+    assert not w.passed and max(r for _, _, r in w.dr_samples) > 0.1
+    J = [((0,), (0,))]
+    wrong = MultiplyBy(GAUSS.scale(2.2), SCH)
+    w = verify_frechet(P2, GAUSS, J, 0.1, L=wrong, rng=random.Random(5), n_samples=60)
+    assert not w.passed and max(r for _, _, r in w.dr_samples) > 0.1
+    right = MultiplyBy(GAUSS.scale(2), SCH)
+    assert verify_frechet(P2, GAUSS, J, 0.1, L=right, rng=random.Random(5), n_samples=60).passed
+
+
 def test_verify_frechet_power4_two_term_point_no_overflow():
-    # the (DR) residuals here carry cancellation noise whose critical
-    # points reach |x| ~ 3.5e22; evaluating |f| there used to raise
-    # OverflowError inside sup_abs
+    # here the difference T(xbar+u) - T(xbar) - L u carries cancellation
+    # noise whose critical points reach |x| ~ 3.5e22, where evaluating |f|
+    # can raise OverflowError inside sup_abs
     xbar = GaussPolyFn.from_term({(2,): Fraction(4)}, (Fraction(2),)).add(
         GaussPolyFn.from_term({(0,): Fraction(6), (2,): Fraction(6)}, (Fraction(1, 2),))
     )

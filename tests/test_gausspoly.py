@@ -51,6 +51,23 @@ def test_zero_and_closure():
     assert GAUSS.add(GAUSS.scale(-1)).is_zero()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans(), st.booleans())
+def test_sub_is_add_of_negation(seed, exact_f, exact_g):
+    # sub negates each coefficient once; the result is the same function,
+    # coefficient for coefficient, exact where both inputs are exact
+    rng = random.Random(seed)
+    sch = SchwartzSpace(1)
+    f = sch.random_element(rng, exact=exact_f)
+    g = sch.random_element(rng, exact=exact_g)
+
+    def coeffs(h):
+        return sorted((tuple(t.decay), e, type(c), c) for t in h.terms for e, c in t.poly.terms.items())
+
+    assert coeffs(f.sub(g)) == coeffs(f.add(g.scale(-1)))
+    assert f.sub(f).is_zero()
+
+
 def test_decay_positive_required():
     with pytest.raises(ValueError):
         GaussPolyFn.gaussian((0,))

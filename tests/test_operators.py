@@ -129,6 +129,51 @@ def test_frechet_poly_schwartz():
     assert L0.apply(u) == u.scale(2)
 
 
+# -- closed-form Taylor remainders ---------------------------------------------
+
+
+def _difference(o, xbar, u):
+    """T(xbar + u) - T(xbar) - L* u, with L* = analytic_frechet(o, xbar)."""
+    dom, cod = o.domain, o.codomain
+    return cod.sub(cod.sub(o.apply(dom.add(xbar, u)), o.apply(xbar)), analytic_frechet(o, xbar).apply(u))
+
+
+def test_taylor_remainder_is_the_exact_difference():
+    # exact data on both sides, so the closed form and the difference of
+    # the three terms must agree exactly; this also checks analytic_frechet
+    sig3 = SigmaRhoSpace(0.3)
+    f = Fraction
+    seq_cases = [
+        (sig3, sig3, SeqElement([f(4), f(-1, 3)]), SeqElement([f(1, 7), 0, f(2, 5)])),
+        (S, S, SeqElement([f(3)], tail=f(1, 2)), SeqElement([f(-1, 3), f(7, 2)], tail=f(5, 2))),
+        (S, S, SeqElement([f(-2), f(5, 4), 1], tail=f(-3, 2)), SeqElement([f(1, 9)], tail=f(1, 4))),
+    ]
+    xbar2 = GaussPolyFn.from_term({(2,): f(4)}, (f(2),)).add(GaussPolyFn.from_term({(0,): f(6), (2,): f(6)}, (f(1, 2),)))
+    u2 = GaussPolyFn.from_term({(1,): f(1, 3)}, (f(1),)).add(GaussPolyFn.from_term({(0,): f(-2), (3,): f(1, 5)}, (f(3, 2),)))
+    fn_cases = [(SCH, SCH, xbar2, u2), (SCH, SCH, GaussPolyFn.zero(1), u2), (SCH, SCH, xbar2, GaussPolyFn.zero(1))]
+    poly = {"coeffs": (f(1, 2), 0, 3, f(-1, 4))}  # a zero coefficient
+    for dom, cod, xbar, u in seq_cases + fn_cases:
+        ops = [Operator("power", {"m": m}, dom, cod) for m in (1, 2, 3, 4)] + [Operator("poly", poly, dom, cod)]
+        for o in ops:
+            got = o.taylor_remainder(xbar)(u)
+            assert got == _difference(o, xbar, u), (o.describe(), xbar, u)
+    for m in (1, 2, 3, 4):
+        o = Operator("cross_power", {"m": m}, sig3, S)
+        for xbar, u in ((SeqElement([f(2), f(-1, 2)]), SeqElement([f(1, 3), 0, f(-4)])), (SeqElement.zero(), SeqElement([f(1, 5)]))):
+            assert o.taylor_remainder(xbar)(u) == _difference(o, xbar, u), (m, xbar)
+    assert Operator("scale", {"a": 2}, S, S).taylor_remainder(SeqElement([1])) is None
+
+
+def test_taylor_remainder_is_exact_only_on_exact_entries():
+    o = Operator("power", {"m": 3}, S, S)
+    r = o.taylor_remainder(SeqElement([Fraction(1, 3)], tail=Fraction(1, 2)))
+    exact = r(SeqElement([Fraction(1, 5)], tail=Fraction(1, 7)))
+    assert all(type(v) is Fraction for v in exact.prefix + (exact.tail,))
+    assert exact.entry(1) == 3 * Fraction(1, 3) * Fraction(1, 25) + Fraction(1, 125)
+    mixed = r(SeqElement([0.2], tail=Fraction(1, 7)))
+    assert type(mixed.entry(1)) is float and type(mixed.tail) is Fraction
+
+
 def test_gateaux_examples():
     assert analytic_gateaux(op("power", {"m": 3}), SeqElement([1]), SeqElement([1])) == SeqElement([3])
     fbar = GAUSS

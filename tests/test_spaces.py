@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -56,6 +57,39 @@ def test_seq_group_laws(a, b):
 def test_seq_json_roundtrip():
     x = SeqElement([1.5, -2.0], tail=0.25)
     assert SeqElement.from_json(x.to_json()) == x
+
+
+mixed = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-50, max_value=50, max_denominator=30),
+    st.floats(-50, 50, allow_nan=False, allow_infinity=False),
+)
+
+
+def _bits(x: SeqElement):
+    """Entries with their types; floats by their bits, signed zeros included."""
+    return [(type(v), v.hex() if type(v) is float else v) for v in x.prefix + (x.tail,)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(mixed, max_size=5), mixed, st.lists(mixed, max_size=5), mixed)
+def test_seq_sub_is_add_of_negation(a, ta, b, tb):
+    # one pass, same values: floats bitwise, exact entries exact
+    x, y = SeqElement(a, ta), SeqElement(b, tb)
+    assert _bits(x.sub(y)) == _bits(x.add(y.scale(-1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6), max_size=6),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+)
+def test_seq_json_roundtrip_is_lossless_on_fractions(prefix, tail):
+    x = SeqElement(prefix, tail)
+    doc = json.loads(json.dumps(x.to_json()))
+    assert all(isinstance(v, str) for v in doc["prefix"] + [doc["tail"]])
+    y = SeqElement.from_json(doc)
+    assert y == x and all(type(v) is Fraction for v in y.prefix + (y.tail,))
 
 
 # -- sigma_rho ----------------------------------------------------------------
