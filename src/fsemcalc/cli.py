@@ -64,8 +64,9 @@ def _validate(config) -> str | None:
             return f"suites[{i}]: field 'name' is required and must be a string"
         if e.get("kind") not in SUITE_KINDS:
             return f"suites[{i}] ({e.get('name')}): field 'kind' must be one of {SUITE_KINDS}"
-        if not isinstance(e.get("params", {}), dict):
-            return f"suites[{i}] ({e.get('name')}): field 'params' must be a JSON object"
+        for field in ("params", "point", "direction"):
+            if not isinstance(e.get(field, {}), dict):
+                return f"suites[{i}] ({e.get('name')}): field '{field}' must be a JSON object"
     return None
 
 

@@ -389,6 +389,16 @@ def _neighbourhood(dom, I: IndexSet, delta: float, rng, count: int):
         yield u, c
 
 
+def _check_budget(epsilon, n_samples):
+    """Refuse a verdict that could not mean anything: epsilon must be a
+    finite number > 0 and n_samples an integer >= 1 (no samples would make
+    every verdict a vacuous pass)."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+
+
 def _sampled_verdict(dom, J: IndexSet, I, delta, batch):
     """Run batch(I, delta) -> (passed, samples) and return
     (I, delta, passed, samples).  With I None, halve delta from 1 over the
@@ -430,6 +440,7 @@ def verify_frechet(
     the sample loop and no cancelling subtraction rounds the ratio.  Every
     other kind evaluates the difference, with T(xbar) once per verdict.
     """
+    _check_budget(epsilon, n_samples)
     rng = rng or random.Random(0)
     dom, cod = op.domain, op.codomain
     J = J if isinstance(J, IndexSet) else index_set(cod, J)
@@ -544,6 +555,7 @@ def continuity_verify(
 ) -> ContinuityWitness:
     """Sample x with 0 < max_I p(x - x0) < delta and check the image
     condition max_J q(T x - T x0) < epsilon."""
+    _check_budget(epsilon, n_samples)
     rng = rng or random.Random(0)
     dom, cod = op.domain, op.codomain
     J = J if isinstance(J, IndexSet) else index_set(cod, J)

@@ -42,21 +42,45 @@ def _inexact(c):
     return float(c) if type(c) is Fraction else c
 
 
+# _cadd, _csub and _cmul: exact (a Fraction, also for int with int) when
+# both operands are exact, else float/complex.  A Fraction operand is used
+# as it is, and goes on the left, where Fraction's fast path takes an int.
 def _cadd(a, b):
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a) + Fraction(b)
+    ta, tb = type(a), type(b)
+    if ta is Fraction:
+        if tb is Fraction or tb is int:
+            return a + b
+    elif ta is int:
+        if tb is Fraction:
+            return b + a
+        if tb is int:
+            return Fraction(a + b)
     return _inexact(a) + _inexact(b)
 
 
 def _csub(a, b):
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a) - Fraction(b)
+    ta, tb = type(a), type(b)
+    if ta is Fraction:
+        if tb is Fraction or tb is int:
+            return a - b
+    elif ta is int:
+        if tb is Fraction:
+            return -(b - a)
+        if tb is int:
+            return Fraction(a - b)
     return _inexact(a) - _inexact(b)
 
 
 def _cmul(a, b):
-    if _is_exact(a) and _is_exact(b):
-        return Fraction(a) * Fraction(b)
+    ta, tb = type(a), type(b)
+    if ta is Fraction:
+        if tb is Fraction or tb is int:
+            return a * b
+    elif ta is int:
+        if tb is Fraction:
+            return b * a
+        if tb is int:
+            return Fraction(a * b)
     return _inexact(a) * _inexact(b)
 
 
@@ -212,13 +236,18 @@ class GaussPolyFn:
     """Finite sum of GaussPolyTerm, canonicalized by merging equal decays.
 
     The empty sum is the origin of the function space.  Instances are
-    immutable by convention; every operation returns a new function.
+    immutable by convention; every operation returns a new function (or
+    the function itself when it would be an equal copy).  Each instance
+    caches its first partial derivatives (:meth:`diff1`), so D^beta chains
+    share their prefixes; mutating terms after a derivative was taken
+    would leave a stale cache.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_d1")
 
     def __init__(self, n: int, terms=()):
         self.n = n
+        self._d1 = None
         merged: list[GaussPolyTerm] = []
         for t in terms:
             if t.poly.n != n:
@@ -296,10 +325,21 @@ class GaussPolyFn:
         lam = mi.check(lam)
         if len(lam) != self.n:
             raise ValueError("dimension mismatch")
+        if not any(lam):
+            return self
         return GaussPolyFn(self.n, tuple(GaussPolyTerm(t.poly.monomial_mul(lam), t.decay) for t in self.terms))
 
     def diff1(self, i: int) -> "GaussPolyFn":
-        """Single partial derivative d/dx_i; stays in class."""
+        """Single partial derivative d/dx_i; stays in class.  Computed once
+        per instance and variable."""
+        if self._d1 is None:
+            self._d1 = [None] * self.n
+        out = self._d1[i]
+        if out is None:
+            out = self._d1[i] = self._diff1(i)
+        return out
+
+    def _diff1(self, i: int) -> "GaussPolyFn":
         out = []
         for t in self.terms:
             # d/dx_i [q e^{-a x_i^2 - ...}] = (dq/dx_i - 2 a_i x_i q) e^{...}
@@ -319,6 +359,10 @@ class GaussPolyFn:
             for _ in range(b):
                 out = out.diff1(i)
         return out
+
+    def seminorm(self, alpha, beta) -> float:
+        """The Schwartz seminorm |f|_{alpha,beta} = sup |x^alpha D^beta f|."""
+        return self.diff(beta).monomial_mul(alpha).sup_abs()
 
     def reflect(self) -> "GaussPolyFn":
         """x -> -x (flips sign of odd-total-degree monomials)."""

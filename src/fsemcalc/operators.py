@@ -480,10 +480,6 @@ def analytic_gateaux(op: Operator, xbar, v):
 # explicit seminorm bounds
 
 
-def _snorm(f: GaussPolyFn, alpha, beta) -> float:
-    return f.diff(beta).monomial_mul(alpha).sup_abs()
-
-
 def _as_mi(v, n):
     return mi.check(v if not isinstance(v, int) else (v,) * n)
 
@@ -493,10 +489,10 @@ def bound_product(g: GaussPolyFn, f: GaussPolyFn, alpha, beta):
     binomial bound sum_k binom(beta,k) |g|_{0,beta-k} |f|_{alpha,k}."""
     n = g.n
     alpha, beta = _as_mi(alpha, n), _as_mi(beta, n)
-    lhs = _snorm(g.mul(f), alpha, beta)
+    lhs = g.mul(f).seminorm(alpha, beta)
     rhs = 0.0
     for k in mi.downward_closure(beta):
-        rhs += mi.binom(beta, k) * _snorm(g, mi.zero(n), mi.sub(beta, k)) * _snorm(f, alpha, k)
+        rhs += mi.binom(beta, k) * g.seminorm(mi.zero(n), mi.sub(beta, k)) * f.seminorm(alpha, k)
     return lhs, rhs
 
 
@@ -521,7 +517,7 @@ def bound_monomial(f: GaussPolyFn, lam, alpha, beta):
     bound with falling-factorial coefficients."""
     n = f.n
     lam, alpha, beta = _as_mi(lam, n), _as_mi(alpha, n), _as_mi(beta, n)
-    lhs = _snorm(f.monomial_mul(lam), alpha, beta)
+    lhs = f.monomial_mul(lam).seminorm(alpha, beta)
     rhs = 0.0
     lo = tuple(max(0, b - l) for b, l in zip(beta, lam))
     for k in mi.box_range(lo, beta):
@@ -529,7 +525,7 @@ def bound_monomial(f: GaussPolyFn, lam, alpha, beta):
         if a_k == 0:
             continue
         shift = tuple(a + l - b + kk for a, l, b, kk in zip(alpha, lam, beta, k))
-        rhs += mi.binom(beta, k) * a_k * _snorm(f, shift, k)
+        rhs += mi.binom(beta, k) * a_k * f.seminorm(shift, k)
     return lhs, rhs
 
 
@@ -543,9 +539,9 @@ def bound_power(u: GaussPolyFn, m: int, alpha, beta):
     alpha, beta = _as_mi(alpha, n), _as_mi(beta, n)
     if u.is_zero():
         return 0.0, 0.0
-    lhs = _snorm(u.pow(m), alpha, beta)
-    m_alpha = max(_snorm(u, alpha, g) for g in mi.downward_closure(beta))
-    m_zero = max(_snorm(u, mi.zero(n), g) for g in mi.downward_closure(beta))
+    lhs = u.pow(m).seminorm(alpha, beta)
+    m_alpha = max(u.seminorm(alpha, g) for g in mi.downward_closure(beta))
+    m_zero = max(u.seminorm(mi.zero(n), g) for g in mi.downward_closure(beta))
     rhs = 2.0 ** (m * mi.order(beta)) * m_alpha * m_zero ** (m - 1)
     return lhs, rhs
 
@@ -581,7 +577,7 @@ def seminorm_bound(op: Operator, q_sid):
         ids, c = [], 0.0
         for kk in mi.downward_closure(beta):
             ids.append((alpha, kk))
-            c = max(c, mi.binom(beta, kk) * _snorm(g, mi.zero(n), mi.sub(beta, kk)))
+            c = max(c, mi.binom(beta, kk) * g.seminorm(mi.zero(n), mi.sub(beta, kk)))
         return ids, c
     if k == "monomial":
         lam = mi.check(op.params["lam"])

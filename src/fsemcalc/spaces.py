@@ -336,8 +336,7 @@ class SchwartzSpace(_SpaceBase):
         return (alpha, beta)
 
     def seminorm(self, sid, f: GaussPolyFn) -> float:
-        alpha, beta = self.normalize_sid(sid)
-        return f.diff(beta).monomial_mul(alpha).sup_abs()
+        return f.seminorm(*self.normalize_sid(sid))
 
     def scalar_factor(self, c) -> float:
         """K with p(c x) <= K p(x) for every p in the family: |c| (homogeneous)."""

@@ -71,7 +71,13 @@ def test_exit_one_on_malformed_config(tmp_path):
 
 @pytest.mark.parametrize(
     "suites_field",
-    [[5], ["x"], [{"name": 3, "kind": "order"}], [{"name": "o", "kind": "order", "params": [1]}]],
+    [
+        [5],
+        ["x"],
+        [{"name": 3, "kind": "order"}],
+        [{"name": "o", "kind": "order", "params": [1]}],
+        [{"name": "g", "kind": "gateaux", "direction": [1, 2]}],
+    ],
 )
 def test_exit_one_on_non_object_entry(tmp_path, capsys, suites_field):
     cfg = write_config(tmp_path, {"seed": 1, "suites": suites_field})
@@ -137,6 +143,25 @@ def test_exit_one_on_bad_delta_source(tmp_path, capsys, source):
     assert len(err) == 1 and err[0].startswith("error: bad config:")
     if source == "constructve":
         assert "'constructve'" in err[0]
+
+
+@pytest.mark.parametrize("kind", ["frechet", "continuity"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("epsilon", 0), ("epsilon", -1), ("n_samples", 0), ("n_samples", -5), ("point", [1, 2]), ("point", 3)],
+    ids=["zero-epsilon", "negative-epsilon", "zero-samples", "negative-samples", "list-point", "number-point"],
+)
+def test_exit_one_on_meaningless_verdict_config(tmp_path, capsys, kind, field, value):
+    entry = frechet_entry()
+    entry["kind"] = kind
+    if field == "point":
+        entry["point"] = value
+    else:
+        entry["params"][field] = value
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main([kind, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
 
 
 def test_exit_one_on_unknown_suite_name(tmp_path, capsys):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsemcalc.gausspoly import GaussPolyFn, leibniz_expand, leibniz_summands
+from fsemcalc import gausspoly
+from fsemcalc.gausspoly import GaussPolyFn, SparsePoly, leibniz_expand, leibniz_summands
 from fsemcalc.spaces import SchwartzSpace
 
 GAUSS = GaussPolyFn.gaussian((Fraction(1),))
@@ -98,6 +99,77 @@ def test_diff_composition_exact():
 def test_diff_composition_random(seed, b, c):
     f = random_fn(random.Random(seed))
     assert f.diff((b,)).diff((c,)) == f.diff((b + c,))
+
+
+def test_diff_chain_extends_a_cached_prefix(monkeypatch):
+    f = random_fn(random.Random(5), max_terms=2)
+    f.diff((2,))
+    calls = []
+    original = SparsePoly.diff
+
+    def counted(self, i):
+        calls.append(i)
+        return original(self, i)
+
+    monkeypatch.setattr(SparsePoly, "diff", counted)
+    d3 = f.diff((3,))
+    assert len(calls) == f.diff((2,)).term_count()  # one more diff1, one SparsePoly.diff per term
+    assert d3 == f.diff((1,)).diff((2,))
+    assert len(calls) == f.diff((2,)).term_count()  # D^1 and D^2 were cached too
+
+
+def _coeff_key(c):
+    # value and type, floats bit for bit (repr round-trips a float exactly)
+    return type(c).__name__, repr(c)
+
+
+def _structure(f):
+    # terms in decay order, as to_json writes them
+    terms = [(t.decay, sorted((e, _coeff_key(c)) for e, c in t.poly.terms.items())) for t in f.terms]
+    return sorted(terms, key=lambda t: [float(a) for a in t[0]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.sampled_from(["exact", "float", "fourier", "n2"]),
+    st.lists(st.integers(0, 4), min_size=1, max_size=6),
+)
+def test_cached_derivatives_equal_fresh_ones(seed, kind, orders):
+    rng = random.Random(seed)
+    if kind == "n2":
+        f = SchwartzSpace(2).random_element(rng, max_degree=2)
+    else:
+        f = random_fn(rng, max_degree=3, max_terms=2) if kind != "float" else SchwartzSpace(1).random_element(rng, exact=False)
+        if kind == "fourier":
+            f = f.fourier()
+    doc = f.to_json()
+    for b in orders:
+        beta = (b,) if f.n == 1 else (b, orders[0])
+        # JSON turns a complex coefficient with zero imaginary part into a
+        # float, so a complex f is copied as a new instance over its terms
+        copy = GaussPolyFn(f.n, f.terms) if kind == "fourier" else GaussPolyFn.from_json(doc)
+        assert _structure(f.diff(beta)) == _structure(copy.diff(beta))
+
+
+_SCALARS = [0, 3, -7, Fraction(0), Fraction(5, 3), Fraction(-2, 9), 0.0, 1.25, -1e-300, 0j, 1.5 - 2j, complex(-0.0, 3)]
+
+
+@pytest.mark.parametrize("name", ["_cadd", "_csub", "_cmul"])
+def test_exact_helpers_keep_the_rule_they_replaced(name):
+    op = {"_cadd": lambda a, b: a + b, "_csub": lambda a, b: a - b, "_cmul": lambda a, b: a * b}[name]
+
+    def rule(a, b):
+        if gausspoly._is_exact(a) and gausspoly._is_exact(b):
+            return op(Fraction(a), Fraction(b))
+        return op(gausspoly._inexact(a), gausspoly._inexact(b))
+
+    fn = getattr(gausspoly, name)
+    pairs = [(type(a).__name__, type(b).__name__) for a in _SCALARS for b in _SCALARS]
+    assert len(set(pairs)) == 16  # every pair from {int, Fraction, float, complex}
+    for a in _SCALARS:
+        for b in _SCALARS:
+            assert _coeff_key(fn(a, b)) == _coeff_key(rule(a, b)), (a, b)
 
 
 def test_leibniz_example():

@@ -194,6 +194,20 @@ def test_schwartz_seminorm_values():
     assert abs(SCH.seminorm((0, 1), g) - math.sqrt(2 / math.e)) < 1e-13  # int shorthand
 
 
+def test_schwartz_seminorm_of_order_zero_builds_no_function(monkeypatch):
+    g = GaussPolyFn.gaussian((Fraction(1),)).monomial_mul((2,))
+    built = []
+    original = GaussPolyFn.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussPolyFn, "__init__", counted)
+    assert SCH.seminorm(((0,), (0,)), g) == pytest.approx(math.exp(-1))
+    assert built == []
+
+
 def test_schwartz_derivative_shift_identity():
     f = GaussPolyFn.gaussian((Fraction(1),)).monomial_mul((1,))
     lhs = SCH.seminorm(((1,), (0,)), f.diff((1,)))
