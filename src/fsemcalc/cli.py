@@ -67,6 +67,12 @@ def _validate(config) -> str | None:
         for field in ("params", "point", "direction"):
             if not isinstance(e.get(field, {}), dict):
                 return f"suites[{i}] ({e.get('name')}): field '{field}' must be a JSON object"
+        # a sample or draw count is a JSON integer: 2.5 or true is no count
+        params = e.get("params", {})
+        for where, field in ((params, "n_samples"), (params, "budget"), (e, "budget")):
+            value = where.get(field, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                return f"suites[{i}] ({e['name']}): field '{field}' must be an integer, got {value!r}"
     return None
 
 

@@ -118,17 +118,28 @@ class GateauxWitness:
         }
 
 
+def _residual(op: Operator, xbar, L: LinearMap | None):
+    """u -> T(xbar + u) - T(xbar) - L u in closed form: the Taylor remainder
+    R(u), plus (L* - L) u for a candidate L, where L* is the analytic
+    derivative.  No operator is applied and no cancelling subtraction is
+    made, so the result is exact on exact data and 0 for a linear kind."""
+    remainder = op.taylor_remainder(xbar)
+    if L is None:
+        return remainder
+    gap = linmap_add(analytic_frechet(op, xbar), linmap_scale(-1, L))
+    return lambda u: op.codomain.add(remainder(u), gap.apply(u))
+
+
 def gateaux_residual(op: Operator, xbar, v, L: LinearMap, t, J) -> float:
-    """max_q q((T(xbar + t v) - T(xbar) - t L v) / t) over q in J."""
+    """max_q q((T(xbar + t v) - T(xbar) - t L v) / t) over q in J, with the
+    numerator R(tv) + (L* - L)(tv) in closed form (see _residual)."""
     if t == 0:
         raise ValueError("t must be nonzero")
     if op.domain.is_zero(v):
         raise ValueError("direction must be nonzero")
-    dom, cod = op.domain, op.codomain
-    J = J if isinstance(J, IndexSet) else index_set(cod, J)
-    shifted = op.apply(dom.add(xbar, dom.scale(t, v)))
-    num = cod.sub(cod.sub(shifted, op.apply(xbar)), cod.scale(t, L.apply(v)))
-    return family_max(cod, cod.scale(_reciprocal(t), num), J)
+    cod = op.codomain
+    num = _residual(op, xbar, L)(op.domain.scale(t, v))
+    return family_max(cod, cod.scale(_reciprocal(t), num), index_set(cod, J))
 
 
 def verify_gateaux(op: Operator, xbar, v, L: LinearMap, J, epsilon: float, t_schedule=None, seed=None) -> GateauxWitness:
@@ -137,7 +148,7 @@ def verify_gateaux(op: Operator, xbar, v, L: LinearMap, J, epsilon: float, t_sch
     Passes when such a delta exists and the residual run is eventually
     nonincreasing (over the last half of the schedule, per sign).
     """
-    J = J if isinstance(J, IndexSet) else index_set(op.codomain, J)
+    J = index_set(op.codomain, J)
     mags = sorted(set(abs(t) for t in (t_schedule or default_t_schedule())), reverse=True)
     records = []
     per_mag = []
@@ -167,7 +178,7 @@ def estimate_gateaux(op: Operator, xbar, v, t_schedule=None, J=None):
     if dom.is_zero(v):
         raise ValueError("direction must be nonzero")
     mags = sorted(set(abs(t) for t in (t_schedule or default_t_schedule())), reverse=True)
-    J = J if isinstance(J, IndexSet) else index_set(cod, J or cod.enum_ids(2))
+    J = index_set(cod, J or cod.enum_ids(2))
     tx = op.apply(xbar)
 
     def quotient(t):
@@ -248,7 +259,7 @@ def dr_ratio(cod, residual, c: float, J) -> float:
     landed; it goes inside q because F-seminorms are not homogeneous."""
     if c == 0:
         raise ValueError("max_I p(u) = 0 belongs to the (DZ) branch")
-    J = J if isinstance(J, IndexSet) else index_set(cod, J)
+    J = index_set(cod, J)
     return family_max(cod, cod.scale(1.0 / c, residual), J)
 
 
@@ -280,14 +291,14 @@ def delta_constructor(op: Operator, xbar, J, epsilon: float):
     since the residual vanishes identically.
     """
     dom, cod = op.domain, op.codomain
-    J = J if isinstance(J, IndexSet) else index_set(cod, J)
+    J = index_set(cod, J)
     eps = _bracket(float(epsilon))
     if op.is_linear:
         return _covering_index_set(dom, J), float(epsilon), "linear-exact"
     if op.kind in ("power", "cross_power"):
         m = int(op.params["m"])
+        I = _covering_index_set(dom, J)
         if isinstance(dom, SchwartzSpace):
-            I = _covering_index_set(dom, J)
             beta = mi.zero(dom.n)
             for _, b in J.ids:
                 beta = mi.join(beta, b)
@@ -303,9 +314,7 @@ def delta_constructor(op: Operator, xbar, J, epsilon: float):
                 bracket = max(bracket, max(dom.seminorm(sid, p) for sid in J.ids))
             delta = eps / ((m - 1) * math.factorial(m) * (bracket + 1.0) * 2.0 ** ((m + 1) * abeta))
             return I, delta, "schwartz-power"
-        M = max(int(k) for k in J.ids)
-        I = index_set(dom, range(1, M + 1))
-        pm = dom.p_sup_prefix(xbar, M)
+        pm = dom.p_sup_prefix(xbar, len(I))  # I = {1..max J}
         if isinstance(dom, SigmaRhoSpace) and isinstance(cod, SigmaRhoSpace):
             return I, eps / (pm + 1.0) ** (m * dom.rho), "power-sigma"
         if isinstance(dom, SSpace):
@@ -353,7 +362,7 @@ def _resolve_delta(delta_source, recipe_fn, dom):
     "auto" (recipe_fn(), else search) or "searched"; I = None means search."""
     if isinstance(delta_source, (tuple, list)) and len(delta_source) == 2:
         I, delta = delta_source
-        I = I if isinstance(I, IndexSet) else index_set(dom, I)
+        I = index_set(dom, I)
         if not I.ids:
             raise ValueError("explicit delta_source needs a nonempty index set I")
         if isinstance(delta, bool) or not isinstance(delta, (int, float, Fraction)) or not 0 < delta < math.inf:
@@ -433,33 +442,18 @@ def verify_frechet(
     the operator, which is what makes wrong candidates fail rather than
     hide behind a tiny searched delta.
 
-    The residual is T(xbar+u) - T(xbar) - L u.  For power, cross_power and
-    poly it is the operator's closed-form Taylor remainder
-    (:meth:`Operator.taylor_remainder`), plus (L* - L) u when a candidate
-    L differs from the analytic derivative L*; no operator is applied in
-    the sample loop and no cancelling subtraction rounds the ratio.  Every
-    other kind evaluates the difference, with T(xbar) once per verdict.
+    The residual T(xbar+u) - T(xbar) - L u is the operator's closed-form
+    Taylor remainder (:meth:`Operator.taylor_remainder`, 0 for a linear
+    kind), plus (L* - L) u when a candidate L differs from the analytic
+    derivative L*; no operator is applied and no cancelling subtraction
+    rounds the ratio.
     """
     _check_budget(epsilon, n_samples)
     rng = rng or random.Random(0)
     dom, cod = op.domain, op.codomain
-    J = J if isinstance(J, IndexSet) else index_set(cod, J)
+    J = index_set(cod, J)
     I, delta, recipe, source = _resolve_delta(delta_source, lambda: delta_constructor(op, xbar, J, epsilon), dom)
-    remainder = op.taylor_remainder(xbar)
-    if remainder is None:
-        L = analytic_frechet(op, xbar) if L is None else L
-        tx = op.apply(xbar)
-
-        def residual(u):
-            return cod.sub(cod.sub(op.apply(dom.add(xbar, u)), tx), L.apply(u))
-
-    elif L is None:
-        residual = remainder
-    else:
-        gap = linmap_add(analytic_frechet(op, xbar), linmap_scale(-1, L))
-
-        def residual(u):
-            return cod.add(remainder(u), gap.apply(u))
+    residual = _residual(op, xbar, L)
 
     def batch(I, delta):
         dz = [(u, family_max(cod, residual(u), J)) for u in _kernel_samples(dom, I, rng)]
@@ -517,7 +511,7 @@ def continuity_delta(op: Operator, x0, J, epsilon: float):
     (family, C) seminorm bound.
     """
     dom, cod = op.domain, op.codomain
-    J = J if isinstance(J, IndexSet) else index_set(cod, J)
+    J = index_set(cod, J)
     eps = float(epsilon)
     if op.is_linear:
         ids = []
@@ -528,17 +522,13 @@ def continuity_delta(op: Operator, x0, J, epsilon: float):
             bound = eps / max(c * len(fam), 1e-300)
             worst = bound if worst is None else min(worst, bound)
         return index_set(dom, ids), worst, "linear-bound"
-    if op.kind == "power" and isinstance(dom, SigmaRhoSpace):
+    if op.kind == "power" and isinstance(dom, (SigmaRhoSpace, SSpace)):
         m = int(op.params["m"])
-        M = max(int(k) for k in J.ids)
-        I = index_set(dom, range(1, M + 1))
-        delta = eps / (m * (dom.p_sup(x0) + 1.0) ** (m - 1) * (eps + 1.0))
-        return I, delta, "continuity-power-sigma"
-    if op.kind == "power" and isinstance(dom, SSpace):
-        m = int(op.params["m"])
-        M = max(int(k) for k in J.ids)
-        I = index_set(dom, range(1, M + 1))
-        delta = eps / ((1.0 + 2.0 * dom.p_sup_prefix(x0, M)) ** m * (eps + 1.0))
+        I = _covering_index_set(dom, J)
+        if isinstance(dom, SigmaRhoSpace):
+            delta = eps / (m * (dom.p_sup(x0) + 1.0) ** (m - 1) * (eps + 1.0))
+            return I, delta, "continuity-power-sigma"
+        delta = eps / ((1.0 + 2.0 * dom.p_sup_prefix(x0, len(I))) ** m * (eps + 1.0))
         return I, delta, "continuity-power-s"
     raise NoRecipeError(f"no constructive continuity delta for {op.kind!r}")
 
@@ -558,7 +548,7 @@ def continuity_verify(
     _check_budget(epsilon, n_samples)
     rng = rng or random.Random(0)
     dom, cod = op.domain, op.codomain
-    J = J if isinstance(J, IndexSet) else index_set(cod, J)
+    J = index_set(cod, J)
     I, delta, recipe, _ = _resolve_delta(delta_source, lambda: continuity_delta(op, x0, J, epsilon), dom)
     neg_tx0 = cod.scale(-1, op.apply(x0))
 
@@ -575,7 +565,7 @@ def continuity_verify(
 # F-norm translation (countable weighted families)
 
 
-def fnorm_translate_forward(op: Operator, x0, epsilon: float, rng=None, n_samples: int = 0):
+def fnorm_translate_forward(op: Operator, x0, epsilon: float):
     """From a Definition-3.1 witness to the F-norm implication.
 
     Given epsilon for the F-norm target: pick the tail cutoff M with
@@ -618,7 +608,7 @@ def fnorm_translate_backward(op: Operator, x0, J, epsilon: float):
     then I = {1..N} with tail sum < delta1/2 and delta = delta1/(2A).
     """
     dom, cod = op.domain, op.codomain
-    J = J if isinstance(J, IndexSet) else index_set(cod, J)
+    J = index_set(cod, J)
     eps = float(epsilon)
     b = min(float(cod.weight(j)) for j in J.ids)
     eps1 = b * eps / (1.0 + eps)
@@ -640,7 +630,7 @@ def fnorm_translate_backward(op: Operator, x0, J, epsilon: float):
 def uniqueness_probe(space, L1: LinearMap, L2: LinearMap, J, directions) -> CheckReport:
     """max over w and q in J of q(L1 w - L2 w); 0 means the two candidates
     coincide on J, otherwise the separating witness is reported."""
-    J = J if isinstance(J, IndexSet) else index_set(space, J)
+    J = index_set(space, J)
     worst, witness = 0.0, None
     for w in directions:
         gap = family_max(space, space.sub(L1.apply(w), L2.apply(w)), J)
@@ -706,9 +696,8 @@ def _linmap_continuity_delta(L: LinearMap, dom, cod, J: IndexSet, epsilon: float
     if isinstance(L, IdentityScaled):
         return _covering_index_set(dom, J), min(0.999, eps / max(dom.scalar_factor(L.c), 1e-300))
     if isinstance(L, Diagonal):
-        m = max(int(k) for k in J.ids)
-        dmax = max((abs(float(L.entry(k))) for k in range(1, m + 1)), default=0.0)
-        I = index_set(dom, range(1, m + 1))
+        I = _covering_index_set(dom, J)
+        dmax = max((abs(float(L.entry(k))) for k in I.ids), default=0.0)
         if isinstance(dom, SigmaRhoSpace) and isinstance(cod, SigmaRhoSpace):
             return I, min(0.999, eps / max(dmax**dom.rho, 1e-300))
         # into S: q(d u) <= max(1, |d|) q-ish bound via |u| <= |u|^rho < 1
@@ -725,7 +714,7 @@ def frechet_implies_continuity_check(op: Operator, xbar, configs, rng=None, n_sa
     L = analytic_frechet(op, xbar)
     results = []
     for J, epsilon in configs:
-        J = J if isinstance(J, IndexSet) else index_set(cod, J)
+        J = index_set(cod, J)
         fw = verify_frechet(op, xbar, J, epsilon / 2.0, rng=rng, n_samples=max(50, n_samples // 2))
         if not fw.passed:
             return CheckReport("frechet_implies_continuity", False, {"stage": "frechet", "epsilon": epsilon}, 0, 0.0)

@@ -112,10 +112,6 @@ class SparsePoly:
                         raise ValueError(f"exponent {exp} has wrong dimension for n={n}")
                     self.terms[tuple(exp)] = c
 
-    @classmethod
-    def const(cls, n: int, c):
-        return cls(n, {mi.zero(n): c})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -371,15 +367,6 @@ class GaussPolyFn:
             p = SparsePoly(self.n, {e: c if mi.order(e) % 2 == 0 else -c for e, c in t.poly.terms.items()})
             out.append(GaussPolyTerm(p, t.decay))
         return GaussPolyFn(self.n, out)
-
-    def conjugate(self) -> "GaussPolyFn":
-        def conj(c):
-            return c.conjugate() if isinstance(c, complex) else c
-
-        return GaussPolyFn(
-            self.n,
-            tuple(GaussPolyTerm(SparsePoly(self.n, {e: conj(c) for e, c in t.poly.terms.items()}), t.decay) for t in self.terms),
-        )
 
     # -- analysis -----------------------------------------------------------
 

@@ -1,14 +1,16 @@
 """Operator catalogue with closed-form derivative providers and bounds.
 
-Every operator knows how to apply itself and, where the theory supplies one,
-how to produce its derivative at a base point as a LinearMap in closed form:
-linear operators are their own derivative; power/polynomial operators have
-multiply-by-function derivatives on Schwartz space and diagonal derivatives
-on the sequence spaces; the same operators give their Taylor remainder
-T(x+u) - T(x) - T'(x) u in closed form, for the (DR) numerator.  The module
-also evaluates the explicit seminorm bounds for products, monomial
-multiples and powers, and exhibits (family, C) continuity certificates for
-the linear catalogue entries.
+Every operator knows how to apply itself and how to produce, at a base
+point, its derivative as a LinearMap and its Taylor remainder
+T(x+u) - T(x) - T'(x) u, both in closed form.  The polynomial kinds (power,
+cross_power, poly) share one coefficient tuple (a_1, ..., a_m) with
+T x = sum_j a_j x^j: their derivatives are multiply-by-function maps on
+Schwartz space and diagonal maps on the sequence spaces.  Every other kind
+is linear, its own derivative, with remainder 0.  The module also evaluates
+the explicit seminorm bounds for products, monomial multiples and powers,
+and exhibits (family, C) continuity certificates for the linear catalogue
+entries; the product rule and the monomial rule are each stated once and
+shared by the bounds and the certificates.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import multiindex as mi
 from .gausspoly import GaussPolyFn, _cmul, _is_exact
-from .seminorms import CheckReport, IndexSet, index_set
+from .seminorms import CheckReport, index_set
 from .spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace, space_from_json
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
     "analytic_gateaux",
     "linmap_add",
     "linmap_scale",
-    "linmap_compose",
     "bound_product",
     "bound_monomial",
     "bound_power",
@@ -70,14 +71,19 @@ class Operator:
             raise ValueError("poly requires a nonempty coefficient list (a_1..a_m)")
 
     @property
-    def is_linear(self) -> bool:
-        if self.kind in LINEAR_KINDS:
-            return True
-        if self.kind in ("power", "cross_power"):
-            return int(self.params["m"]) == 1
+    def coeffs(self):
+        """(a_1, ..., a_m) with T x = sum_j a_j x^j for power, cross_power
+        (x^m) and poly; None for every other kind."""
         if self.kind == "poly":
-            return len(self.params["coeffs"]) == 1
-        return False
+            return tuple(self.params["coeffs"])
+        if self.kind in ("power", "cross_power"):
+            return (0,) * (int(self.params["m"]) - 1) + (1,)
+        return None
+
+    @property
+    def is_linear(self) -> bool:
+        a = self.coeffs
+        return self.kind in LINEAR_KINDS if a is None else len(a) == 1
 
     def apply(self, x):
         k = self.kind
@@ -116,22 +122,19 @@ class Operator:
 
     def taylor_remainder(self, xbar):
         """u -> T(xbar + u) - T(xbar) - T'(xbar) u in closed form, prepared
-        once from xbar, for the kinds power, cross_power and poly; None for
-        every other kind.
+        once from xbar, for every kind.
 
-        With T x = sum_j a_j x^j the remainder is sum_{i>=2} c_i u^i, where
-        c_i = sum_{j>=i} a_j C(j, i) xbar^{j-i}, so no cancelling
-        subtraction is made.  On the sequence spaces it is one entrywise
-        pass, exact when both entries are exact and float otherwise; on
-        Schwartz space the coefficient functions are built once, exactly
-        when xbar and the a_j are.
+        A kind without coefficients is linear, so its remainder is the
+        codomain origin.  With T x = sum_j a_j x^j the remainder is
+        sum_{i>=2} c_i u^i, where c_i = sum_{j>=i} a_j C(j, i) xbar^{j-i},
+        so no cancelling subtraction is made.  On the sequence spaces it is
+        one entrywise pass, exact when both entries are exact and float
+        otherwise; on Schwartz space the coefficient functions are built
+        once, exactly when xbar and the a_j are.
         """
-        if self.kind == "poly":
-            a = tuple(self.params["coeffs"])
-        elif self.kind in ("power", "cross_power"):
-            a = (0,) * (int(self.params["m"]) - 1) + (1,)
-        else:
-            return None
+        a = self.coeffs
+        if a is None:
+            return lambda u: self.codomain.zero()
         if isinstance(xbar, GaussPolyFn):
             return _function_remainder(a, xbar)
         self.domain.validate(xbar)
@@ -404,22 +407,6 @@ def linmap_scale(c, m: LinearMap) -> LinearMap:
     return ComposeMap(IdentityScaled(c, m.codomain), m)
 
 
-def linmap_compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
-    if isinstance(outer, ZeroMap) or isinstance(inner, ZeroMap):
-        return ZeroMap(outer.codomain)
-    if isinstance(outer, IdentityScaled):
-        return linmap_scale(outer.c, inner) if outer.c != 1 else inner
-    if isinstance(inner, IdentityScaled):
-        return linmap_scale(inner.c, outer) if inner.c != 1 else outer
-    if isinstance(outer, Diagonal) and isinstance(inner, Diagonal):
-        n = max(len(outer.prefix), len(inner.prefix))
-        pref = tuple(outer.entry(i) * inner.entry(i) for i in range(1, n + 1))
-        return Diagonal(pref, outer.tail * inner.tail, outer.codomain)
-    if isinstance(outer, MultiplyBy) and isinstance(inner, MultiplyBy):
-        return MultiplyBy(outer.g.mul(inner.g), outer.codomain)
-    return ComposeMap(outer, inner)
-
-
 # ---------------------------------------------------------------------------
 # analytic derivatives
 
@@ -428,45 +415,38 @@ def _scalar(op: Operator):
     """c when the linear operator op is x -> c x, else None."""
     if op.kind == "scale":
         return op.params["a"]
-    if op.kind == "poly":
-        return op.params["coeffs"][0]
-    return 1 if op.kind in ("identity", "power", "cross_power") else None
+    if op.coeffs is not None:
+        return op.coeffs[0]
+    return 1 if op.kind == "identity" else None
 
 
 def analytic_frechet(op: Operator, xbar) -> LinearMap:
-    """Closed-form derivative of a catalogue operator at a base point."""
-    k = op.kind
+    """Closed-form derivative of a catalogue operator at a base point: the
+    operator itself for a linear kind, x -> sum_j j a_j xbar^{j-1} x for
+    T x = sum_j a_j x^j."""
     if op.is_linear:
         c = _scalar(op)
         return OperatorMap(op) if c is None else IdentityScaled(c, op.codomain)
-    if k in ("power", "cross_power"):
-        m = int(op.params["m"])
-        if isinstance(xbar, GaussPolyFn):
-            if xbar.is_zero():
-                return ZeroMap(op.codomain)
-            return MultiplyBy(xbar.pow(m - 1).scale(m), op.codomain)
-        op.domain.validate(xbar)
-        pref = tuple(m * xbar.entry(i) ** (m - 1) for i in range(1, xbar.support_len() + 1))
-        return Diagonal(pref, m * xbar.tail ** (m - 1), op.codomain)
-    if k == "poly":
-        coeffs = op.params["coeffs"]
-        if isinstance(xbar, GaussPolyFn):
-            out: LinearMap = IdentityScaled(coeffs[0], op.codomain) if coeffs[0] else ZeroMap(op.codomain)
-            if not xbar.is_zero():
-                g = GaussPolyFn.zero(xbar.n)
-                for i, a in enumerate(coeffs[1:], start=2):
-                    if a:
-                        g = g.add(xbar.pow(i - 1).scale(i * a))
-                if not g.is_zero():
-                    out = linmap_add(out, MultiplyBy(g, op.codomain))
-            return out
+    coeffs = op.coeffs
+    if coeffs is None:
+        raise ValueError(f"no derivative formula for kind {op.kind!r}")
+    if isinstance(xbar, GaussPolyFn):
+        out: LinearMap = IdentityScaled(coeffs[0], op.codomain) if coeffs[0] else ZeroMap(op.codomain)
+        if not xbar.is_zero():
+            g = GaussPolyFn.zero(xbar.n)
+            for i, a in enumerate(coeffs[1:], start=2):
+                if a:
+                    g = g.add(xbar.pow(i - 1).scale(i * a))
+            if not g.is_zero():
+                out = linmap_add(out, MultiplyBy(g, op.codomain))
+        return out
+    op.domain.validate(xbar)
 
-        def dcoef(t):
-            return sum(i * a * t ** (i - 1) for i, a in enumerate(coeffs, start=1))
+    def dcoef(t):
+        return sum(i * a * t ** (i - 1) for i, a in enumerate(coeffs, start=1))
 
-        pref = tuple(dcoef(xbar.entry(i)) for i in range(1, xbar.support_len() + 1))
-        return Diagonal(pref, dcoef(xbar.tail), op.codomain)
-    raise ValueError(f"no derivative formula for kind {k!r}")
+    pref = tuple(dcoef(xbar.entry(i)) for i in range(1, xbar.support_len() + 1))
+    return Diagonal(pref, dcoef(xbar.tail), op.codomain)
 
 
 def analytic_gateaux(op: Operator, xbar, v):
@@ -484,49 +464,48 @@ def _as_mi(v, n):
     return mi.check(v if not isinstance(v, int) else (v,) * n)
 
 
+def _product_rule(g: GaussPolyFn, alpha, beta):
+    """Yield (id, C) for |g f|_{alpha,beta} <= sum C |f|_id: the Leibniz
+    rule gives id = (alpha, k) and C = C(beta, k) |g|_{0,beta-k} for each
+    k <= beta."""
+    zero = mi.zero(len(beta))
+    for k in mi.downward_closure(beta):
+        yield (alpha, k), mi.binom(beta, k) * g.seminorm(zero, mi.sub(beta, k))
+
+
+def _monomial_rule(lam, alpha, beta):
+    """Yield (id, C) for |x^lam f|_{alpha,beta} <= sum C |f|_id.  For each
+    k <= beta, D^{beta-k} x^lam = a_k x^{lam-beta+k}, a_k a product of
+    falling factorials; where a_k != 0 the pair is
+    id = (alpha + lam - beta + k, k), C = C(beta, k) a_k."""
+    lo = tuple(max(0, b - l) for b, l in zip(beta, lam))
+    for k in mi.box_range(lo, beta):
+        a_k = math.prod(math.perm(l, b - kk) for l, b, kk in zip(lam, beta, k))
+        if a_k:
+            shift = tuple(a + l - b + kk for a, l, b, kk in zip(alpha, lam, beta, k))
+            yield (shift, k), mi.binom(beta, k) * a_k
+
+
+def _rule_bound(rule, f: GaussPolyFn) -> float:
+    """sum C |f|_id over the (id, C) pairs of a seminorm rule, in rule order."""
+    rhs = 0.0
+    for sid, c in rule:
+        rhs += c * f.seminorm(*sid)
+    return rhs
+
+
 def bound_product(g: GaussPolyFn, f: GaussPolyFn, alpha, beta):
     """(lhs, rhs) with lhs = |g f|_{alpha,beta} and rhs the product-rule
     binomial bound sum_k binom(beta,k) |g|_{0,beta-k} |f|_{alpha,k}."""
-    n = g.n
-    alpha, beta = _as_mi(alpha, n), _as_mi(beta, n)
-    lhs = g.mul(f).seminorm(alpha, beta)
-    rhs = 0.0
-    for k in mi.downward_closure(beta):
-        rhs += mi.binom(beta, k) * g.seminorm(mi.zero(n), mi.sub(beta, k)) * f.seminorm(alpha, k)
-    return lhs, rhs
-
-
-def _falling(lam: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= lam - i
-    return out
-
-
-def _monomial_coef(lam, beta, k) -> int:
-    """Derivative coefficient prod_i lam_i (lam_i - 1) ... down (beta_i - k_i)
-    factors; vanishes exactly when some beta_i - k_i exceeds lam_i."""
-    out = 1
-    for li, bi, ki in zip(lam, beta, k):
-        out *= _falling(li, bi - ki)
-    return out
+    alpha, beta = _as_mi(alpha, g.n), _as_mi(beta, g.n)
+    return g.mul(f).seminorm(alpha, beta), _rule_bound(_product_rule(g, alpha, beta), f)
 
 
 def bound_monomial(f: GaussPolyFn, lam, alpha, beta):
     """(lhs, rhs) for |x^lam f|_{alpha,beta} against the shifted-seminorm
     bound with falling-factorial coefficients."""
-    n = f.n
-    lam, alpha, beta = _as_mi(lam, n), _as_mi(alpha, n), _as_mi(beta, n)
-    lhs = f.monomial_mul(lam).seminorm(alpha, beta)
-    rhs = 0.0
-    lo = tuple(max(0, b - l) for b, l in zip(beta, lam))
-    for k in mi.box_range(lo, beta):
-        a_k = _monomial_coef(lam, beta, k)
-        if a_k == 0:
-            continue
-        shift = tuple(a + l - b + kk for a, l, b, kk in zip(alpha, lam, beta, k))
-        rhs += mi.binom(beta, k) * a_k * f.seminorm(shift, k)
-    return lhs, rhs
+    lam, alpha, beta = _as_mi(lam, f.n), _as_mi(alpha, f.n), _as_mi(beta, f.n)
+    return f.monomial_mul(lam).seminorm(alpha, beta), _rule_bound(_monomial_rule(lam, alpha, beta), f)
 
 
 def bound_power(u: GaussPolyFn, m: int, alpha, beta):
@@ -548,6 +527,15 @@ def bound_power(u: GaussPolyFn, m: int, alpha, beta):
 
 # ---------------------------------------------------------------------------
 # linear continuity certificates
+
+
+def _family(rule):
+    """(ids, max C) over the (id, C) pairs that a seminorm rule yields."""
+    ids, c = [], 0.0
+    for sid, c_k in rule:
+        ids.append(sid)
+        c = max(c, c_k)
+    return ids, c
 
 
 def seminorm_bound(op: Operator, q_sid):
@@ -573,49 +561,26 @@ def seminorm_bound(op: Operator, q_sid):
         gamma = mi.check(op.params["gamma"])
         return [(alpha, mi.add(beta, gamma))], 1.0
     if k == "mult":
-        g = op.params["g"]
-        ids, c = [], 0.0
-        for kk in mi.downward_closure(beta):
-            ids.append((alpha, kk))
-            c = max(c, mi.binom(beta, kk) * g.seminorm(mi.zero(n), mi.sub(beta, kk)))
-        return ids, c
+        return _family(_product_rule(op.params["g"], alpha, beta))
     if k == "monomial":
-        lam = mi.check(op.params["lam"])
-        lo = tuple(max(0, b - l) for b, l in zip(beta, lam))
-        ids, c = [], 0.0
-        for kk in mi.box_range(lo, beta):
-            a_k = _monomial_coef(lam, beta, kk)
-            if a_k == 0:
-                continue
-            shift = tuple(a + l - b + k2 for a, l, b, k2 in zip(alpha, lam, beta, kk))
-            ids.append((shift, kk))
-            c = max(c, mi.binom(beta, kk) * a_k)
-        return ids, c
+        return _family(_monomial_rule(mi.check(op.params["lam"]), alpha, beta))
     if k in ("fourier", "inv_fourier"):
         if n != 1:
             raise NotImplementedError("fourier bound: n = 1 only")
         a, b = alpha[0], beta[0]
         # |xi^a D^b Ff| <= (2 pi)^{b-a} int |D^a(t^b f)| dt and the
         # integral is <= pi (|h|_{0,0} + |h|_{2,0}) for h = D^a(t^b f);
-        # expand h by the monomial rule into seminorms of f.
-        ids, cmax = [], 0.0
-        lo = max(0, a - b)
-        for kk in range(lo, a + 1):
-            a_k = _falling(b, a - kk)
-            if a_k == 0:
-                continue
-            for j in (0, 2):
-                ids.append(((j + b - a + kk,), (kk,)))
-            cmax = max(cmax, math.comb(a, kk) * a_k)
-        c = (2 * math.pi) ** (b - a) * math.pi * cmax
-        return ids, c
+        # expand h by the monomial rule into seminorms of f, k-major.
+        by_k = zip(_monomial_rule((b,), (0,), (a,)), _monomial_rule((b,), (2,), (a,)))
+        ids, cmax = _family(pair for both in by_k for pair in both)
+        return ids, (2 * math.pi) ** (b - a) * math.pi * cmax
     raise ValueError(f"no bound recipe for {k} on schwartz")
 
 
 def linear_bound_check(op: Operator, J, *, rng, n_samples: int = 200) -> CheckReport:
     """Verify q(T x) <= C_q sum_{p in fam_q} p(x) on samples, with the
     (fam_q, C_q) exhibits produced by :func:`seminorm_bound`."""
-    J = J if isinstance(J, IndexSet) else index_set(op.codomain, J)
+    J = index_set(op.codomain, J)
     exhibits = {}
     for q in J:
         ids, c = seminorm_bound(op, q)

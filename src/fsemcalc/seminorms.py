@@ -65,6 +65,10 @@ class IndexSet:
 
 
 def index_set(space, ids) -> IndexSet:
+    """The IndexSet of the ids in space's family; an IndexSet is returned
+    as it is."""
+    if isinstance(ids, IndexSet):
+        return ids
     norm = [space.normalize_sid(s) for s in ids]
     return IndexSet(space.tag, tuple(dict.fromkeys(norm)))
 

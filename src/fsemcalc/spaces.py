@@ -121,8 +121,6 @@ class SeqElement:
 class _SpaceBase:
     """Element plumbing shared by every space; elements do the arithmetic."""
 
-    separating = True  # verified by separating_check; claim carried here
-
     def add(self, x, y):
         return x.add(y)
 
@@ -141,8 +139,6 @@ class _SpaceBase:
 
 class _SequenceSpaceBase(_SpaceBase):
     """Shared element plumbing for sigma_rho and S."""
-
-    homogeneous = False
 
     def zero(self):
         return SeqElement.zero()
@@ -163,9 +159,6 @@ class _SequenceSpaceBase(_SpaceBase):
 
     def element_from_json(self, doc):
         return SeqElement.from_json(doc)
-
-    def sid_to_json(self, sid):
-        return sid
 
     def support_ids(self, x):
         """Index set bounded by the representation; a separating witness for
@@ -306,7 +299,6 @@ class SSpace(_SequenceSpaceBase):
 class SchwartzSpace(_SpaceBase):
     """Schwartz space over the Gaussian-polynomial class (exact for n = 1)."""
 
-    homogeneous = True
     has_weights = False
 
     def __init__(self, n: int = 1):
@@ -366,10 +358,6 @@ class SchwartzSpace(_SpaceBase):
 
     def element_from_json(self, doc):
         return GaussPolyFn.from_json(doc)
-
-    def sid_to_json(self, sid):
-        alpha, beta = self.normalize_sid(sid)
-        return [list(alpha), list(beta)]
 
     def support_ids(self, f):
         return [(mi.zero(self.n), mi.zero(self.n))]

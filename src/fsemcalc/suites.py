@@ -191,7 +191,7 @@ def _run_order_case(entry: dict, rng):
     op = Operator.from_json(entry["operator"])
     point = op.domain.element_from_json(entry["point"])
     claim = entry.get("claim", entry.get("params", {}).get("claim", "credit"))
-    budget = int(entry.get("budget", entry.get("params", {}).get("budget", 100)))
+    budget = entry.get("budget", entry.get("params", {}).get("budget", 100))
     directions = [op.domain.element_from_json(d) for d in entry.get("directions", [])]
     if claim == "credit":
         if not directions:
@@ -236,7 +236,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
     elif kind == "axioms":
         space = space_from_json(entry["space"])
         sids = _sid_list(params.get("ids") or [space.enum_ids(1)[0]])
-        n = int(params.get("n_samples", 200))
+        n = params.get("n_samples", 200)
         per = max(1, n // len(sids))
         reports = [axiom_report(space, sid, rng=rng, n_samples=per) for sid in sids]
         sep = separating_check(space, rng=rng, n_samples=min(n, 200))
@@ -253,7 +253,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
             payload = {"kind": "order", "passed": report.passed, "cases": [report.to_json()]}
             passed = report.passed
         else:
-            reports = credit_necessity_suite(rng, budget=int(params.get("budget", 200)))
+            reports = credit_necessity_suite(rng, budget=params.get("budget", 200))
             passed = all(r.passed for r in reports)
             payload = {"kind": "order", "passed": passed, "cases": [r.to_json() for r in reports]}
     else:
@@ -273,7 +273,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
                 L=candidate,
                 delta_source=params.get("delta_source", "auto"),
                 rng=rng,
-                n_samples=int(params.get("n_samples", 500)),
+                n_samples=params.get("n_samples", 500),
                 seed=seed,
             )
             payload, passed = w.to_json(op.domain), w.passed
@@ -285,7 +285,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
                 epsilon,
                 delta_source=params.get("delta_source", "auto"),
                 rng=rng,
-                n_samples=int(params.get("n_samples", 500)),
+                n_samples=params.get("n_samples", 500),
                 seed=seed,
             )
             payload, passed = w.to_json(op.domain), w.passed

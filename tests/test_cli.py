@@ -148,8 +148,26 @@ def test_exit_one_on_bad_delta_source(tmp_path, capsys, source):
 @pytest.mark.parametrize("kind", ["frechet", "continuity"])
 @pytest.mark.parametrize(
     "field, value",
-    [("epsilon", 0), ("epsilon", -1), ("n_samples", 0), ("n_samples", -5), ("point", [1, 2]), ("point", 3)],
-    ids=["zero-epsilon", "negative-epsilon", "zero-samples", "negative-samples", "list-point", "number-point"],
+    [
+        ("epsilon", 0),
+        ("epsilon", -1),
+        ("n_samples", 0),
+        ("n_samples", -5),
+        ("n_samples", 2.9),
+        ("n_samples", True),
+        ("point", [1, 2]),
+        ("point", 3),
+    ],
+    ids=[
+        "zero-epsilon",
+        "negative-epsilon",
+        "zero-samples",
+        "negative-samples",
+        "fractional-samples",
+        "boolean-samples",
+        "list-point",
+        "number-point",
+    ],
 )
 def test_exit_one_on_meaningless_verdict_config(tmp_path, capsys, kind, field, value):
     entry = frechet_entry()
@@ -225,6 +243,22 @@ def test_order_case_config(tmp_path):
     by_name = {s["name"]: s["passed"] for s in report["suites"]}
     assert by_name["square-increasing"] and by_name["cube-credit-at-origin"]
     assert not by_name["cube-not-max-at-origin"]
+
+
+def test_exit_one_on_fractional_order_budget(tmp_path, capsys):
+    # a budget of 2.5 draws would otherwise be truncated to 2 without a word
+    entry = {
+        "name": "square-increasing",
+        "kind": "order",
+        "operator": {"kind": "power", "params": {"m": 2}, "domain": SIGMA_DESC, "codomain": SIGMA_DESC},
+        "point": {"prefix": [], "tail": 0},
+        "claim": "increasing",
+        "budget": 2.5,
+    }
+    cfg = write_config(tmp_path, {"seed": 5, "suites": [entry]})
+    assert main(["order", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "budget" in err[0]
 
 
 def test_kind_filter_excludes_other_kinds(tmp_path):

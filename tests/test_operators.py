@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from fsemcalc.differentiation import gateaux_residual
 from fsemcalc.gausspoly import GaussPolyFn
 from fsemcalc.operators import (
+    ComposeMap,
     Diagonal,
     IdentityScaled,
     MultiplyBy,
@@ -20,10 +22,10 @@ from fsemcalc.operators import (
     bound_product,
     linear_bound_check,
     linmap_add,
-    linmap_compose,
     linmap_scale,
     seminorm_bound,
 )
+from fsemcalc.seminorms import family_max
 from fsemcalc.spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace
 
 SIGMA = SigmaRhoSpace(0.5)
@@ -152,16 +154,39 @@ def test_taylor_remainder_is_the_exact_difference():
     u2 = GaussPolyFn.from_term({(1,): f(1, 3)}, (f(1),)).add(GaussPolyFn.from_term({(0,): f(-2), (3,): f(1, 5)}, (f(3, 2),)))
     fn_cases = [(SCH, SCH, xbar2, u2), (SCH, SCH, GaussPolyFn.zero(1), u2), (SCH, SCH, xbar2, GaussPolyFn.zero(1))]
     poly = {"coeffs": (f(1, 2), 0, 3, f(-1, 4))}  # a zero coefficient
+    cases = []
     for dom, cod, xbar, u in seq_cases + fn_cases:
         ops = [Operator("power", {"m": m}, dom, cod) for m in (1, 2, 3, 4)] + [Operator("poly", poly, dom, cod)]
-        for o in ops:
-            got = o.taylor_remainder(xbar)(u)
-            assert got == _difference(o, xbar, u), (o.describe(), xbar, u)
+        cases += [(o, xbar, u) for o in ops]
     for m in (1, 2, 3, 4):
         o = Operator("cross_power", {"m": m}, sig3, S)
         for xbar, u in ((SeqElement([f(2), f(-1, 2)]), SeqElement([f(1, 3), 0, f(-4)])), (SeqElement.zero(), SeqElement([f(1, 5)]))):
-            assert o.taylor_remainder(xbar)(u) == _difference(o, xbar, u), (m, xbar)
-    assert Operator("scale", {"a": 2}, S, S).taylor_remainder(SeqElement([1])) is None
+            cases.append((o, xbar, u))
+    t = f(1, 10)
+    for o, xbar, u in cases:
+        assert o.taylor_remainder(xbar)(u) == _difference(o, xbar, u), (o.describe(), xbar, u)
+        # the Gateaux residual is built from the same closed form; a function
+        # equal to the difference but summed in another term order may reach
+        # its supremum one rounding apart, a sequence is compared exactly
+        if not o.domain.is_zero(u):
+            cod = o.codomain
+            J = [((0,), (0,))] if isinstance(cod, SchwartzSpace) else [1, 2, 3]
+            want = family_max(cod, cod.scale(1 / t, _difference(o, xbar, o.domain.scale(t, u))), J)
+            got = gateaux_residual(o, xbar, u, analytic_frechet(o, xbar), t, J)
+            assert math.isclose(got, want, rel_tol=1e-15 if isinstance(cod, SchwartzSpace) else 0.0), o.describe()
+    # a linear kind's remainder is the codomain origin
+    x = SeqElement([f(3), f(-1, 2)], tail=f(1, 4))
+    for o in (Operator("identity", {}, S, S), Operator("scale", {"a": 2}, S, S)):
+        assert o.taylor_remainder(x)(SeqElement([5], tail=1)) == SeqElement.zero()
+    sch_ops = [
+        Operator("diff", {"gamma": (1,)}, SCH, SCH),
+        Operator("mult", {"g": GAUSS}, SCH, SCH),
+        Operator("monomial", {"lam": (2,)}, SCH, SCH),
+        Operator("fourier", {}, SCH, SCH),
+        Operator("inv_fourier", {}, SCH, SCH),
+    ]
+    for o in sch_ops:
+        assert o.taylor_remainder(xbar2)(u2).is_zero(), o.describe()
 
 
 def test_taylor_remainder_is_exact_only_on_exact_entries():
@@ -238,9 +263,8 @@ def test_linmap_add_scale_compose():
     assert isinstance(s, Diagonal) and s.prefix == (9, 3) and s.tail == 1
     m = linmap_scale(2, MultiplyBy(GAUSS))
     assert m.apply(XGAUSS) == GAUSS.mul(XGAUSS).scale(2)
-    assert linmap_compose(IdentityScaled(1), d1) is d1
-    c = linmap_compose(d1, d2)
-    assert isinstance(c, Diagonal) and c.prefix == (8, 2)
+    c = linmap_scale(2, OperatorMap(op("diff", {"gamma": (1,)}, SCH)))  # no closed form: composed
+    assert isinstance(c, ComposeMap) and c.apply(GAUSS) == GAUSS.diff((1,)).scale(2)
     z = linmap_add(ZeroMap(SIGMA), d1)
     assert z is d1
 
