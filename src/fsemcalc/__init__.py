@@ -4,9 +4,9 @@ Three concrete spaces (a Gaussian-polynomial model of rapidly decreasing
 functions, the rho-power sequence space for 0 < rho < 1, and the space of
 all real sequences) carry explicit F-seminorm families.  An operator
 catalogue supplies closed-form Gateaux/Frechet derivatives, and the
-verification engine certifies epsilon-delta continuity and the (DZ)/(DR)
-differentiability conditions at desk scale, including the constructive
-delta recipes and ordered-extremum analysis.
+verification engine checks on N samples epsilon-delta continuity and the
+(DZ)/(DR) differentiability conditions at desk scale, including the
+constructive delta recipes and ordered-extremum analysis.
 """
 
 from .gausspoly import GaussPolyFn, SparsePoly, leibniz_expand

@@ -119,42 +119,47 @@ class GateauxWitness:
 
 
 def _residual(op: Operator, xbar, L: LinearMap | None):
-    """u -> T(xbar + u) - T(xbar) - L u in closed form: the Taylor remainder
-    R(u), plus (L* - L) u for a candidate L, where L* is the analytic
-    derivative.  No operator is applied and no cancelling subtraction is
-    made, so the result is exact on exact data and 0 for a linear kind."""
-    remainder = op.taylor_remainder(xbar)
+    """u -> T(xbar + u) - T(xbar) - L u from the Taylor expansion at xbar:
+    R(u), plus (L* - L) u for a candidate L.  No operator is applied and no
+    cancelling subtraction is made, so the result is exact on exact data
+    and 0 for a linear kind."""
+    expansion = op.taylor_remainder(xbar)
     if L is None:
-        return remainder
-    gap = linmap_add(analytic_frechet(op, xbar), linmap_scale(-1, L))
-    return lambda u: op.codomain.add(remainder(u), gap.apply(u))
+        return expansion
+    gap = linmap_add(expansion.derivative, linmap_scale(-1, L))
+    return lambda u: op.codomain.add(expansion(u), gap.apply(u))
 
 
-def gateaux_residual(op: Operator, xbar, v, L: LinearMap, t, J) -> float:
-    """max_q q((T(xbar + t v) - T(xbar) - t L v) / t) over q in J, with the
-    numerator R(tv) + (L* - L)(tv) in closed form (see _residual)."""
+def _gateaux_quotient(op: Operator, residual, v, t, J: IndexSet) -> float:
+    """max_q q(residual(t v) / t) over q in J."""
     if t == 0:
         raise ValueError("t must be nonzero")
     if op.domain.is_zero(v):
         raise ValueError("direction must be nonzero")
     cod = op.codomain
-    num = _residual(op, xbar, L)(op.domain.scale(t, v))
-    return family_max(cod, cod.scale(_reciprocal(t), num), index_set(cod, J))
+    return family_max(cod, cod.scale(_reciprocal(t), residual(op.domain.scale(t, v))), J)
+
+
+def gateaux_residual(op: Operator, xbar, v, L: LinearMap, t, J) -> float:
+    """max_q q((T(xbar + t v) - T(xbar) - t L v) / t) over q in J, with the
+    numerator R(tv) + (L* - L)(tv) in closed form (see _residual)."""
+    return _gateaux_quotient(op, _residual(op, xbar, L), v, t, index_set(op.codomain, J))
 
 
 def verify_gateaux(op: Operator, xbar, v, L: LinearMap, J, epsilon: float, t_schedule=None, seed=None) -> GateauxWitness:
     """Largest schedule-prefix delta with all residuals < epsilon, both signs.
 
     Passes when such a delta exists and the residual run is eventually
-    nonincreasing (over the last half of the schedule, per sign).
+    nonincreasing (over the last half of the schedule, per sign).  The
+    residual is prepared once from xbar and L and read at every t.
     """
     J = index_set(op.codomain, J)
+    residual = _residual(op, xbar, L)
     mags = sorted(set(abs(t) for t in (t_schedule or default_t_schedule())), reverse=True)
     records = []
     per_mag = []
     for m in mags:
-        rp = gateaux_residual(op, xbar, v, L, m, J)
-        rm = gateaux_residual(op, xbar, v, L, -m, J)
+        rp, rm = (_gateaux_quotient(op, residual, v, t, J) for t in (m, -m))
         records.extend([(m, rp), (-m, rm)])
         per_mag.append(max(rp, rm))
     k0 = len(mags)
@@ -475,7 +480,7 @@ class ContinuityWitness:
     epsilon: float
     I: IndexSet
     delta: float
-    samples: list  # (x, image residual)
+    samples: list  # (x0 + u, image residual at u)
     recipe: str
     passed: bool
     seed: int | None = None
@@ -514,14 +519,9 @@ def continuity_delta(op: Operator, x0, J, epsilon: float):
     J = index_set(cod, J)
     eps = float(epsilon)
     if op.is_linear:
-        ids = []
-        worst = None
-        for q in J.ids:
-            fam, c = seminorm_bound(op, q)
-            ids.extend(fam)
-            bound = eps / max(c * len(fam), 1e-300)
-            worst = bound if worst is None else min(worst, bound)
-        return index_set(dom, ids), worst, "linear-bound"
+        bounds = [seminorm_bound(op, q) for q in J.ids]
+        ids = [p for fam, _ in bounds for p in fam]
+        return index_set(dom, ids), min(eps / max(c * len(fam), 1e-300) for fam, c in bounds), "linear-bound"
     if op.kind == "power" and isinstance(dom, (SigmaRhoSpace, SSpace)):
         m = int(op.params["m"])
         I = _covering_index_set(dom, J)
@@ -543,18 +543,20 @@ def continuity_verify(
     n_samples: int = 500,
     seed=None,
 ) -> ContinuityWitness:
-    """Sample x with 0 < max_I p(x - x0) < delta and check the image
-    condition max_J q(T x - T x0) < epsilon."""
+    """Sample u with 0 < max_I p(u) < delta and check the image condition
+    max_J q(T(x0 + u) - T(x0)) < epsilon, with the increment read at u from
+    the expansion that Gateaux and (DR) read: no operator is applied, and a
+    float x0 + u, which may round back onto x0, is formed only as the
+    witness's x."""
     _check_budget(epsilon, n_samples)
     rng = rng or random.Random(0)
     dom, cod = op.domain, op.codomain
     J = index_set(cod, J)
     I, delta, recipe, _ = _resolve_delta(delta_source, lambda: continuity_delta(op, x0, J, epsilon), dom)
-    neg_tx0 = cod.scale(-1, op.apply(x0))
+    increment = op.taylor_remainder(x0).increment
 
     def batch(I, delta):
-        xs = (dom.add(x0, u) for u, _ in _neighbourhood(dom, I, delta, rng, n_samples))
-        samples = [(x, family_max(cod, cod.add(op.apply(x), neg_tx0), J)) for x in xs]
+        samples = [(dom.add(x0, u), family_max(cod, increment(u), J)) for u, _ in _neighbourhood(dom, I, delta, rng, n_samples)]
         return all(r < epsilon for _, r in samples), samples
 
     I, delta, passed, samples = _sampled_verdict(dom, J, I, delta, batch)
@@ -686,13 +688,9 @@ def _linmap_continuity_delta(L: LinearMap, dom, cod, J: IndexSet, epsilon: float
         for i2, _ in parts[1:]:
             I = I.union(i2)
         return I, min(d for _, d in parts)
-    if isinstance(L, OperatorMap):
-        I, delta, _ = continuity_delta(L.op, dom.zero(), J, eps)
-        return I, delta
-    if isinstance(L, MultiplyBy):
-        op = Operator("mult", {"g": L.g}, dom, cod)
-        I, delta, _ = continuity_delta(op, dom.zero(), J, eps)
-        return I, delta
+    if isinstance(L, (OperatorMap, MultiplyBy)):
+        op = L.op if isinstance(L, OperatorMap) else Operator("mult", {"g": L.g}, dom, cod)
+        return continuity_delta(op, dom.zero(), J, eps)[:2]
     if isinstance(L, IdentityScaled):
         return _covering_index_set(dom, J), min(0.999, eps / max(dom.scalar_factor(L.c), 1e-300))
     if isinstance(L, Diagonal):

@@ -1,20 +1,23 @@
 """Operator catalogue with closed-form derivative providers and bounds.
 
-Every operator knows how to apply itself and how to produce, at a base
-point, its derivative as a LinearMap and its Taylor remainder
-T(x+u) - T(x) - T'(x) u, both in closed form.  The polynomial kinds (power,
-cross_power, poly) share one coefficient tuple (a_1, ..., a_m) with
-T x = sum_j a_j x^j: their derivatives are multiply-by-function maps on
-Schwartz space and diagonal maps on the sequence spaces.  Every other kind
-is linear, its own derivative, with remainder 0.  The module also evaluates
-the explicit seminorm bounds for products, monomial multiples and powers,
-and exhibits (family, C) continuity certificates for the linear catalogue
-entries; the product rule and the monomial rule are each stated once and
-shared by the bounds and the certificates.
+Every operator knows how to apply itself and how to expand itself at a base
+point xbar: T(xbar + u) - T(xbar) = L* u + R(u), built once as a
+TaylorExpansion.  Continuity, Gateaux and (DR) verdicts all read this one
+expansion, so none of them applies T near xbar.  The polynomial kinds
+(power, cross_power, poly) share one coefficient tuple (a_1, ..., a_m) with
+T x = sum_j a_j x^j; their expansion is one table of Taylor coefficients
+c_i at xbar, whose row 1 is L* (multiply-by-function on Schwartz space,
+diagonal on the sequence spaces).  Every other kind is linear, its own
+derivative, with remainder 0.  The module also evaluates the explicit
+seminorm bounds for products, monomial multiples and powers, and exhibits
+(family, C) continuity certificates for the linear catalogue entries; the
+product rule and the monomial rule are each stated once and shared by the
+bounds and the certificates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -120,25 +123,31 @@ class Operator:
             return x.inv_fourier()
         raise ValueError(f"unknown operator kind {k!r}")
 
-    def taylor_remainder(self, xbar):
-        """u -> T(xbar + u) - T(xbar) - T'(xbar) u in closed form, prepared
-        once from xbar, for every kind.
+    def taylor_remainder(self, xbar) -> "TaylorExpansion":
+        """The Taylor expansion of T at xbar, built once and read by the
+        continuity, Gateaux and (DR) verdicts: its derivative L*, its
+        remainder u -> T(xbar + u) - T(xbar) - L* u (a call) and its
+        increment u -> T(xbar + u) - T(xbar).
 
-        A kind without coefficients is linear, so its remainder is the
-        codomain origin.  With T x = sum_j a_j x^j the remainder is
-        sum_{i>=2} c_i u^i, where c_i = sum_{j>=i} a_j C(j, i) xbar^{j-i},
-        so no cancelling subtraction is made.  On the sequence spaces it is
-        one entrywise pass, exact when both entries are exact and float
-        otherwise; on Schwartz space the coefficient functions are built
-        once, exactly when xbar and the a_j are.
+        A linear kind is its own derivative, with remainder the codomain
+        origin and increment T u.  With T x = sum_j a_j x^j the increment is
+        sum_{i>=1} c_i u^i, c_i = sum_{j>=i} a_j C(j, i) xbar^{j-i}, and the
+        remainder its terms i >= 2, so no cancelling subtraction is made.
+        Each sequence entry is one Horner pass, exact when both entries are
+        and float otherwise; on Schwartz space the coefficient functions are
+        built once, exactly when xbar and the a_j are.
         """
+        if self.is_linear:
+            c = _scalar(self)
+            L = OperatorMap(self) if c is None else IdentityScaled(c, self.codomain)
+            return TaylorExpansion(L, lambda u: self.codomain.zero(), L.apply)
         a = self.coeffs
         if a is None:
-            return lambda u: self.codomain.zero()
+            raise ValueError(f"no derivative formula for kind {self.kind!r}")
         if isinstance(xbar, GaussPolyFn):
-            return _function_remainder(a, xbar)
+            return _function_expansion(a, xbar, self.codomain)
         self.domain.validate(xbar)
-        return _sequence_remainder(a, xbar)
+        return _sequence_expansion(a, xbar, self.codomain)
 
     def describe(self) -> str:
         k = self.kind
@@ -178,69 +187,87 @@ class Operator:
 
 
 # ---------------------------------------------------------------------------
-# closed-form Taylor remainders
+# closed-form Taylor expansions
 
 
-def _entry_coeffs(a, t):
-    """(exact, floats) for the entry polynomial b -> sum_{i>=2} c_i b^i at
-    t, each in descending order c_m, ..., c_2; exact is None unless t and
-    every a_j are exact."""
-    m = len(a)
-    cs = [sum(a[j - 1] * math.comb(j, i) * t ** (j - i) for j in range(i, m + 1)) for i in range(m, 1, -1)]
-    return (cs if all(_is_exact(c) for c in cs) else None), [float(c) for c in cs]
+@dataclass(frozen=True)
+class TaylorExpansion:
+    """T(xbar + u) - T(xbar) = derivative u + remainder(u) at one base point;
+    increment(u) is the left side, read from u alone.  Calling the
+    expansion gives the remainder."""
+
+    derivative: "LinearMap"
+    remainder: object
+    increment: object
+
+    def __call__(self, u):
+        return self.remainder(u)
 
 
-def _remainder_entry(coeffs, b):
-    exact, floats = coeffs
+def _series_entry(form, b, first):
+    """sum_{i>=first} c_i b^i by Horner over form = (exact, floats), the
+    coefficients c_m, ..., c_first; exact when form and b both are."""
+    exact, floats = form
     cs, b = (exact, b) if exact is not None and _is_exact(b) else (floats, float(b))
     acc = 0
     for c in cs:
         acc = acc * b + c
-    return acc * b * b
+    return acc * b if first == 1 else acc * b * b
 
 
-def _sequence_remainder(a, xbar: SeqElement):
-    prefix = [_entry_coeffs(a, v) for v in xbar.prefix]
-    tail = _entry_coeffs(a, xbar.tail)
-
-    def remainder(u: SeqElement) -> SeqElement:
-        up = u.prefix
-        vals = [
-            _remainder_entry(prefix[k] if k < len(prefix) else tail, up[k] if k < len(up) else u.tail)
-            for k in range(max(len(prefix), len(up)))
-        ]
-        return SeqElement(vals, _remainder_entry(tail, u.tail))
-
-    return remainder
-
-
-def _function_remainder(a, xbar: GaussPolyFn):
+def _sequence_expansion(a, xbar: SeqElement, cod):
     m = len(a)
-    powers = [None, xbar]
-    for _ in range(m - 3):
-        powers.append(powers[-1].mul(xbar))
+    # one row c_m, ..., c_1 per entry t of xbar, the tail last
+    rows = [
+        [sum(a[j - 1] * math.comb(j, i) * t ** (j - i) for j in range(i, m + 1)) for i in range(m, 0, -1)]
+        for t in (*xbar.prefix, xbar.tail)
+    ]
+
+    def series(first):
+        # rows >= first; the exact coefficients are None unless all are exact
+        forms = [(cs if all(map(_is_exact, cs)) else None, [float(c) for c in cs]) for cs in (r[: m + 1 - first] for r in rows)]
+        *prefix, tail = forms
+
+        def at(u: SeqElement) -> SeqElement:
+            up = u.prefix
+            vals = [
+                _series_entry(prefix[k] if k < len(prefix) else tail, up[k] if k < len(up) else u.tail, first)
+                for k in range(max(len(prefix), len(up)))
+            ]
+            return SeqElement(vals, _series_entry(tail, u.tail, first))
+
+        return at
+
+    return TaylorExpansion(Diagonal(tuple(r[-1] for r in rows[:-1]), rows[-1][-1], cod), series(2), series(1))
+
+
+def _function_expansion(a, xbar: GaussPolyFn, cod):
+    m = len(a)
     # c_i = a_i + g_i; the constant a_i is not in the class, so it scales u^i
     g = {}
-    for i in range(2, m + 1):
+    for i in range(1, m + 1):
         g[i] = GaussPolyFn.zero(xbar.n)
         for j in range(i + 1, m + 1):
             if a[j - 1]:
-                g[i] = g[i].add(powers[j - i].scale(_cmul(a[j - 1], math.comb(j, i))))
+                g[i] = g[i].add(xbar.pow(j - i).scale(_cmul(a[j - 1], math.comb(j, i))))
 
-    def remainder(u: GaussPolyFn) -> GaussPolyFn:
-        out = GaussPolyFn.zero(u.n)
-        if u.is_zero():
+    def series(first):
+        def at(u: GaussPolyFn) -> GaussPolyFn:
+            out = ui = GaussPolyFn.zero(u.n)
+            for i in range(1, m + 1):
+                ui = u if i == 1 else ui.mul(u)
+                if i >= first and a[i - 1]:
+                    out = out.add(ui.scale(a[i - 1]))
+                if i >= first and not g[i].is_zero():
+                    out = out.add(g[i].mul(ui))
             return out
-        ui = u
-        for i in range(2, m + 1):
-            ui = ui.mul(u)
-            if a[i - 1]:
-                out = out.add(ui.scale(a[i - 1]))
-            if not g[i].is_zero():
-                out = out.add(g[i].mul(ui))
-        return out
 
-    return remainder
+        return at
+
+    derivative = IdentityScaled(a[0], cod) if a[0] else ZeroMap(cod)
+    if not g[1].is_zero():
+        derivative = linmap_add(derivative, MultiplyBy(g[1], cod))
+    return TaylorExpansion(derivative, series(2), series(1))
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +318,11 @@ class Diagonal(LinearMap):
     codomain: object = None
 
     def apply(self, u: SeqElement) -> SeqElement:
+        def mul(d, v):
+            return d * v if (d != 0 and v != 0) else 0
+
         n = max(len(self.prefix), u.support_len())
-        vals = []
-        for i in range(1, n + 1):
-            d = self.prefix[i - 1] if i <= len(self.prefix) else self.tail
-            v = u.entry(i)
-            vals.append(d * v if (d != 0 and v != 0) else 0)
-        return SeqElement(vals, self.tail * u.tail if (self.tail != 0 and u.tail != 0) else 0)
+        return SeqElement([mul(self.entry(i), u.entry(i)) for i in range(1, n + 1)], mul(self.tail, u.tail))
 
     def entry(self, k: int):
         return self.prefix[k - 1] if k <= len(self.prefix) else self.tail
@@ -348,11 +373,7 @@ class SumMap(LinearMap):
         return self.parts[0].codomain
 
     def apply(self, u):
-        vals = [p.apply(u) for p in self.parts]
-        out = vals[0]
-        for v in vals[1:]:
-            out = out.add(v)
-        return out
+        return functools.reduce(lambda acc, v: acc.add(v), [p.apply(u) for p in self.parts])
 
     def describe(self):
         return " + ".join(p.describe() for p in self.parts)
@@ -421,32 +442,10 @@ def _scalar(op: Operator):
 
 
 def analytic_frechet(op: Operator, xbar) -> LinearMap:
-    """Closed-form derivative of a catalogue operator at a base point: the
-    operator itself for a linear kind, x -> sum_j j a_j xbar^{j-1} x for
-    T x = sum_j a_j x^j."""
-    if op.is_linear:
-        c = _scalar(op)
-        return OperatorMap(op) if c is None else IdentityScaled(c, op.codomain)
-    coeffs = op.coeffs
-    if coeffs is None:
-        raise ValueError(f"no derivative formula for kind {op.kind!r}")
-    if isinstance(xbar, GaussPolyFn):
-        out: LinearMap = IdentityScaled(coeffs[0], op.codomain) if coeffs[0] else ZeroMap(op.codomain)
-        if not xbar.is_zero():
-            g = GaussPolyFn.zero(xbar.n)
-            for i, a in enumerate(coeffs[1:], start=2):
-                if a:
-                    g = g.add(xbar.pow(i - 1).scale(i * a))
-            if not g.is_zero():
-                out = linmap_add(out, MultiplyBy(g, op.codomain))
-        return out
-    op.domain.validate(xbar)
-
-    def dcoef(t):
-        return sum(i * a * t ** (i - 1) for i, a in enumerate(coeffs, start=1))
-
-    pref = tuple(dcoef(xbar.entry(i)) for i in range(1, xbar.support_len() + 1))
-    return Diagonal(pref, dcoef(xbar.tail), op.codomain)
+    """Closed-form derivative at a base point, read from the expansion that
+    the verdicts read: the operator itself for a linear kind, row 1 of the
+    Taylor table, x -> sum_j j a_j xbar^{j-1} x, for T x = sum_j a_j x^j."""
+    return op.taylor_remainder(xbar).derivative
 
 
 def analytic_gateaux(op: Operator, xbar, v):
@@ -581,10 +580,7 @@ def linear_bound_check(op: Operator, J, *, rng, n_samples: int = 200) -> CheckRe
     """Verify q(T x) <= C_q sum_{p in fam_q} p(x) on samples, with the
     (fam_q, C_q) exhibits produced by :func:`seminorm_bound`."""
     J = index_set(op.codomain, J)
-    exhibits = {}
-    for q in J:
-        ids, c = seminorm_bound(op, q)
-        exhibits[q] = (ids, c)
+    exhibits = {q: seminorm_bound(op, q) for q in J}
     for i in range(n_samples):
         x = op.domain.random_element(rng)
         tx = op.apply(x)

@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 
 from . import multiindex as mi
-from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _csub, _json_num
+from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _json_num
 
 __all__ = [
     "SeqElement",
@@ -72,7 +72,11 @@ class SeqElement:
         return SeqElement([_cadd(a, b) for a, b in self._zip(other)], _cadd(self.tail, other.tail))
 
     def sub(self, other: "SeqElement") -> "SeqElement":
-        return SeqElement([_csub(a, b) for a, b in self._zip(other)], _csub(self.tail, other.tail))
+        # x + (-1)*y entrywise, so that sub is add of the negation on signed
+        # zeros too: an exact zero has no sign, and -0.0 minus it is 0.0.
+        return SeqElement(
+            [_cadd(a, _cmul(-1, b)) for a, b in self._zip(other)], _cadd(self.tail, _cmul(-1, other.tail))
+        )
 
     def scale(self, a) -> "SeqElement":
         return SeqElement([_cmul(a, v) for v in self.prefix], _cmul(a, self.tail))

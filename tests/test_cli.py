@@ -327,3 +327,13 @@ def test_report_identical_across_processes(tmp_path):
         assert proc.returncode in (0, 2), proc.stderr
         texts.append(json.dumps(_strip_timing(json.loads(out.read_text()))))
     assert texts[0] == texts[1]
+
+
+def test_package_runs_as_a_module():
+    # python -m fsemcalc works from a checkout, without an installed script
+    env = dict(os.environ, PYTHONPATH=str(Path(fsemcalc.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fsemcalc", "suite", "--list"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "continuity-square-sigma" in proc.stdout.split()

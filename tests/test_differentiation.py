@@ -217,10 +217,11 @@ def test_verify_frechet_searched_fallback():
     assert w.passed and w.delta_source == "searched" and w.delta > 1e-12
 
 
-def test_verify_frechet_applies_no_operator(monkeypatch):
-    # the residual is the closed-form remainder (0 for a linear kind), so no
-    # operator is applied, neither to xbar nor in the sample loop, on any
-    # batch of the searched fallback
+def test_verdicts_apply_no_operator(monkeypatch):
+    # the residual is the closed-form remainder (0 for a linear kind) and the
+    # continuity increment comes from the same expansion, so no operator is
+    # applied, neither to xbar nor in the sample loop, on any batch of the
+    # searched fallback
     xbar = SeqElement([3], tail=1)
     apply = Operator.apply
     calls = []
@@ -236,7 +237,25 @@ def test_verify_frechet_applies_no_operator(monkeypatch):
         assert w.passed and len(w.dz_samples) == 20 and len(w.dr_samples) == 5
         w = verify_frechet(scale, xbar, [1, 2], 0.1, delta_source=source, rng=random.Random(7), n_samples=5)
         assert w.passed and len(w.dr_samples) == 5
+        for o in (R2, scale):
+            w = continuity_verify(o, xbar, [1, 2], 0.1, delta_source=source, rng=random.Random(7), n_samples=5)
+            assert w.passed and len(w.samples) == 5
         assert calls == [], source
+
+
+def test_verify_gateaux_prepares_its_residual_once(monkeypatch):
+    # one Taylor expansion per verdict, read at all 16 values of t
+    L = analytic_frechet(Q2, ONE)
+    remainder = Operator.taylor_remainder
+    calls = []
+
+    def counting(self, xbar):
+        calls.append(xbar)
+        return remainder(self, xbar)
+
+    monkeypatch.setattr(Operator, "taylor_remainder", counting)
+    w = verify_gateaux(Q2, ONE, ONE, L, [1], 0.1)
+    assert len(w.schedule) == 16 and len(calls) == 1
 
 
 def _float_fn(rng):
@@ -387,6 +406,20 @@ def test_continuity_verify_passes():
     for o, x in [(Q2, ONE), (R2, ONE), (Operator("identity", {}, SIGMA, SIGMA), ONE)]:
         w = continuity_verify(o, x, [1], 0.1, rng=rng, n_samples=80)
         assert w.passed, o.describe()
+
+
+def test_continuity_samples_never_read_a_rounded_away_point():
+    # at epsilon = 0.01 on sigma_0.3 the sampled |u| reaches ~1e-15, so a
+    # float x0 + u can round back onto x0; the increment is read at u itself
+    # and a sample never reports T x0 - T x0 = 0
+    space = SigmaRhoSpace(0.3)
+    for m in (2, 3, 4):
+        o = Operator("power", {"m": m}, space, space)
+        for x0 in (SeqElement([1]), SeqElement([4, 1])):
+            for eps in (0.1, 0.01):
+                w = continuity_verify(o, x0, [1, 2], eps, rng=random.Random(3), n_samples=400)
+                zeros = [r for _, r in w.samples if r == 0.0]
+                assert w.passed and not zeros, (m, x0, eps, len(zeros))
 
 
 def test_continuity_searched_fallback():

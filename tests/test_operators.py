@@ -164,7 +164,12 @@ def test_taylor_remainder_is_the_exact_difference():
             cases.append((o, xbar, u))
     t = f(1, 10)
     for o, xbar, u in cases:
-        assert o.taylor_remainder(xbar)(u) == _difference(o, xbar, u), (o.describe(), xbar, u)
+        expansion = o.taylor_remainder(xbar)
+        assert expansion(u) == _difference(o, xbar, u), (o.describe(), xbar, u)
+        # the increment T(xbar + u) - T(xbar) comes from the same expansion
+        dom, cod = o.domain, o.codomain
+        increment = cod.sub(o.apply(dom.add(xbar, u)), o.apply(xbar))
+        assert expansion.increment(u) == increment, (o.describe(), xbar, u)
         # the Gateaux residual is built from the same closed form; a function
         # equal to the difference but summed in another term order may reach
         # its supremum one rounding apart, a sequence is compared exactly
@@ -178,6 +183,8 @@ def test_taylor_remainder_is_the_exact_difference():
     x = SeqElement([f(3), f(-1, 2)], tail=f(1, 4))
     for o in (Operator("identity", {}, S, S), Operator("scale", {"a": 2}, S, S)):
         assert o.taylor_remainder(x)(SeqElement([5], tail=1)) == SeqElement.zero()
+        # and its increment is T u
+        assert o.taylor_remainder(x).increment(SeqElement([5], tail=1)) == o.apply(SeqElement([5], tail=1))
     sch_ops = [
         Operator("diff", {"gamma": (1,)}, SCH, SCH),
         Operator("mult", {"g": GAUSS}, SCH, SCH),
@@ -187,6 +194,7 @@ def test_taylor_remainder_is_the_exact_difference():
     ]
     for o in sch_ops:
         assert o.taylor_remainder(xbar2)(u2).is_zero(), o.describe()
+        assert o.taylor_remainder(xbar2).increment(u2) == o.apply(u2), o.describe()
 
 
 def test_taylor_remainder_is_exact_only_on_exact_entries():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsemcalc.gausspoly import GaussPolyFn
@@ -73,6 +73,7 @@ def _bits(x: SeqElement):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(mixed, max_size=5), mixed, st.lists(mixed, max_size=5), mixed)
+@example([-0.0], 1, [], 0)  # -0.0 minus an exact zero
 def test_seq_sub_is_add_of_negation(a, ta, b, tb):
     # one pass, same values: floats bitwise, exact entries exact
     x, y = SeqElement(a, ta), SeqElement(b, tb)
