@@ -315,8 +315,7 @@ def delta_constructor(op: Operator, xbar, J, epsilon: float):
             # bracket max over exponents 1..m; the constant function is not
             # a member of the space, so exponent 0 is excluded
             for i in range(1, m + 1):
-                p = xbar.pow(i)
-                bracket = max(bracket, max(dom.seminorm(sid, p) for sid in J.ids))
+                bracket = max(bracket, family_max(dom, xbar.pow(i), J))
             delta = eps / ((m - 1) * math.factorial(m) * (bracket + 1.0) * 2.0 ** ((m + 1) * abeta))
             return I, delta, "schwartz-power"
         pm = dom.p_sup_prefix(xbar, len(I))  # I = {1..max J}

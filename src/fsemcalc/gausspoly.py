@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import multiindex as mi
-from .rootfind import real_roots, zoom_max
+from .rootfind import real_roots_many, zoom_max
 
 __all__ = ["SparsePoly", "GaussPolyTerm", "GaussPolyFn", "leibniz_expand", "leibniz_summands"]
 
@@ -189,6 +189,16 @@ class SparsePoly:
         return f"SparsePoly(n={self.n}, {self.terms!r})"
 
 
+def _horner(rows, x):
+    """Every descending coefficient row of rows at every point of x, by
+    Horner, as ``np.polyval`` evaluates one row."""
+    out = np.zeros((rows.shape[0], x.size))
+    for k in range(rows.shape[1]):
+        out *= x
+        out += rows[:, k, None]
+    return out
+
+
 class GaussPolyTerm:
     """One summand q(x) * exp(-sum_i a_i x_i^2) with every a_i > 0."""
 
@@ -235,15 +245,17 @@ class GaussPolyFn:
     immutable by convention; every operation returns a new function (or
     the function itself when it would be an equal copy).  Each instance
     caches its first partial derivatives (:meth:`diff1`), so D^beta chains
-    share their prefixes; mutating terms after a derivative was taken
-    would leave a stale cache.
+    share their prefixes, and (n = 1) its float evaluation data
+    (:meth:`_stack`); mutating terms after either was built would leave a
+    stale cache.
     """
 
-    __slots__ = ("n", "terms", "_d1")
+    __slots__ = ("n", "terms", "_d1", "_np")
 
     def __init__(self, n: int, terms=()):
         self.n = n
         self._d1 = None
+        self._np = None
         merged: list[GaussPolyTerm] = []
         for t in terms:
             if t.poly.n != n:
@@ -360,6 +372,26 @@ class GaussPolyFn:
         """The Schwartz seminorm |f|_{alpha,beta} = sup |x^alpha D^beta f|."""
         return self.diff(beta).monomial_mul(alpha).sup_abs()
 
+    def sup_bound(self) -> float:
+        """B = sum over terms and monomials c x^j e^{-sum a_i x_i^2} of
+        |c| prod_i (j_i / (2 a_i e))^(j_i / 2), a factor with j_i = 0 being 1.
+
+        |x|^j e^{-a x^2} peaks at x^2 = j / (2a), where it is
+        (j / (2 a e))^(j/2); the n-dimensional factor is the product of the
+        one-dimensional ones, and the triangle inequality sums them, so
+        sup |f| <= B.
+        """
+        out = 0.0
+        for t in self.terms:
+            scales = [2.0 * float(a) * math.e for a in t.decay]
+            for e, c in t.poly.terms.items():
+                v = abs(_inexact(c))
+                for j, s in zip(e, scales):
+                    if j:
+                        v *= (j / s) ** (0.5 * j)
+                out += v
+        return out
+
     def reflect(self) -> "GaussPolyFn":
         """x -> -x (flips sign of odd-total-degree monomials)."""
         out = []
@@ -401,21 +433,52 @@ class GaussPolyFn:
             out_im += vi * e
         return complex(out_re, out_im)
 
+    def _stack(self):
+        """(-decays, re, complex rows, im) built once from every term's
+        :meth:`GaussPolyTerm.flat1` (n = 1, at least one term): -a as a
+        column, the descending real coefficient rows padded with leading
+        zeros to one width, the indices of the terms with imaginary parts,
+        and their imaginary rows."""
+        if self._np is None:
+            flats = [t.flat1() for t in self.terms]
+            width = max(len(re) for _, re, _ in flats)
+            cplx = [k for k, (_, _, im) in enumerate(flats) if im]
+            re = np.zeros((len(flats), width))
+            im = np.zeros((len(cplx), width))
+            for k, (_, r, _) in enumerate(flats):
+                re[k, width - len(r):] = r
+            for row, k in enumerate(cplx):
+                im[row, width - len(flats[k][2]):] = flats[k][2]
+            self._np = (-np.array([[a] for a, _, _ in flats]), re, cplx, im)
+        return self._np
+
     def _eval1_np(self, xs):
         """f at every point of the float array xs (n = 1): the vectorised
-        :meth:`_eval1`, a real array when every coefficient is real."""
-        x2 = xs * xs
-        out = 0.0
+        :meth:`_eval1`, a real array when every coefficient is real.
+
+        One Horner pass over a (terms x points) array and one ``np.exp``.
+        A leading zero of a padded row leaves the Horner value at 0, and the
+        terms are summed in order, so each value is the one that a
+        ``np.polyval`` and ``np.exp`` per term give.
+        """
+        if not self.terms:
+            return 0.0
+        neg_a, re, cplx, im = self._stack()
+        xs = np.asarray(xs)
+        x = xs.reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in self.terms:
-                a, re_desc, im_desc = t.flat1()
-                v = np.polyval(re_desc, xs)
-                if im_desc:
-                    v = v + 1j * np.polyval(im_desc, xs)
-                e = np.exp(-a * x2)
-                # as in _eval1: a term whose Gaussian factor underflows is 0
-                out = out + np.where(e == 0.0, 0.0, v * e)
-        return out
+            e = np.exp(neg_a * (x * x))
+            v = _horner(re, x)
+            # as in _eval1: a term whose Gaussian factor underflows is 0
+            terms = v * e
+            if not e.all():
+                terms = np.where(e == 0.0, 0.0, terms)
+            if cplx:
+                vc = v[cplx] + 1j * _horner(im, x)
+                terms = terms.astype(complex)
+                terms[cplx] = np.where(e[cplx] == 0.0, 0.0, vc * e[cplx])
+            # a reduction over the first axis adds the rows in order
+            return np.add.reduce(terms, axis=0).reshape(xs.shape)
 
     def has_real_coeffs(self, tol: float = 0.0) -> bool:
         return all(abs(_cimag(_inexact(c))) <= tol for t in self.terms for c in t.poly.terms.values())
@@ -451,7 +514,9 @@ class GaussPolyFn:
 
     def _critical_candidates_1d(self):
         """Critical points of each decay group's term f_k = q_k e^{-a_k x^2}
-        (plus 0), from one polynomial per group.
+        (plus 0), from one polynomial per group, built from the cached
+        :meth:`GaussPolyTerm.flat1` rows; all groups' roots come from one
+        :func:`rootfind.real_roots_many` call.
 
         Real q: the roots of q' - 2 a x q, the polynomial part of f_k' (see
         :meth:`diff1`), built in float.  Complex q: the roots of the
@@ -469,20 +534,21 @@ class GaussPolyFn:
         def ascending_diff(a):
             return [i * v for i, v in enumerate(a)][1:] or [0.0]
 
-        cands = [0.0]
+        polys = []
         for t in self.terms:
-            a = float(t.decay[0])
-            re, im = t.poly.coeff_lists_1d()
-            if not any(im):
-                cands.extend(real_roots(pad_add(ascending_diff(re), [0.0] + [-2.0 * a * v for v in re])))
+            a, re_desc, im_desc = t.flat1()
+            re = re_desc[::-1]
+            if not im_desc:
+                polys.append(pad_add(ascending_diff(re), [0.0] + [-2.0 * a * v for v in re]))
                 continue
             # d/dx |q e^{-a x^2}|^2 has polynomial factor
             #   re*re' + im*im' - 2 a x (re^2 + im^2)
+            im = im_desc[::-1]
             s = pad_add(np.convolve(re, ascending_diff(re)), np.convolve(im, ascending_diff(im)))
             sq = pad_add(np.convolve(re, re), np.convolve(im, im))
             shifted = [0.0] + [-2.0 * a * v for v in sq]
-            cands.extend(real_roots(pad_add(s, shifted)))
-        return cands
+            polys.append(pad_add(s, shifted))
+        return [0.0] + [x for roots in real_roots_many(polys) for x in roots]
 
     def _norm_key(self):
         """Scale-invariant structural key: coefficients divided by the

@@ -2,7 +2,10 @@
 
 The two concrete cones are entrywise nonnegativity on the sequence spaces
 and pointwise nonnegativity on Schwartz space (real-coefficient functions
-whose global minimum is >= -1e-12, decided by the certified sup machinery).
+whose global minimum is >= -1e-12, read from
+:meth:`GaussPolyFn.signed_range`: the values at each decay group's critical
+points, plus a guard grid with several groups, so an estimate, not a
+certified bound).
 Extremum checks are sample-based refutation/confirmation harnesses, not
 proofs; every report carries its sample budget.
 """

@@ -74,11 +74,11 @@ def index_set(space, ids) -> IndexSet:
 
 
 def family_max(space, x, I) -> float:
-    """max{p(x) : p in I}."""
+    """max{p(x) : p in I}, as the space takes it (``space.family_max``)."""
     ids = I.ids if isinstance(I, IndexSet) else [space.normalize_sid(s) for s in I]
     if not ids:
         raise ValueError("index set must be nonempty")
-    return max(space.seminorm(s, x) for s in ids)
+    return space.family_max(x, ids)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -174,6 +175,23 @@ def test_delta_recipe_schwartz_closure():
     assert rec == "schwartz-power"
     assert ((0,), (0,)) in I.ids and ((1,), (1,)) in I.ids and len(I.ids) == 4
     assert 0 < d < 1
+
+
+def test_schwartz_recipe_bracket_is_the_max_over_powers_and_seminorms():
+    # the bracket max_{1<=i<=m} max_{q in J} q(xbar^i), now a family maximum
+    # per power, gives the delta of the old seminorm-by-seminorm loop
+    rng = random.Random(29)
+    for m in (2, 3, 4):
+        op = Operator("power", {"m": m}, SCH, SCH)
+        for _ in range(4):
+            xbar = SCH.random_element(rng, max_degree=3)
+            J = index_set(SCH, rng.sample(SCH.enum_ids(6), 3))
+            eps = rng.choice([0.5, 0.1, 0.01])
+            bracket = max(max(SCH.seminorm(sid, xbar.pow(i)) for sid in J.ids) for i in range(1, m + 1))
+            abeta = max(sum(b) for _, b in J.ids)
+            want = eps / ((m - 1) * math.factorial(m) * (bracket + 1.0) * 2.0 ** ((m + 1) * abeta))
+            I, delta, rec = delta_constructor(op, xbar, J, eps)
+            assert rec == "schwartz-power" and delta == want
 
 
 def test_delta_constructor_no_recipe():

@@ -228,20 +228,23 @@ def test_sup_derivative_frozen_value():
     assert abs(GAUSS.diff((1,)).sup_abs() - math.sqrt(2 / math.e)) < 1e-13
 
 
-def test_sup_matches_grid_oracle_random():
+def oracle_sweep():
     # the 30 functions with two or three decay groups and degree <= 12 take
     # the guard-grid path of sup_abs and signed_range; the 15 powers p^m have
-    # the clustered zeros of the power workloads; a 200001-point grid bounds
-    # both from below and above
+    # the clustered zeros of the power workloads
     rng = random.Random(23)
     fns = [random_fn(rng) for _ in range(25)]
     while len(fns) < 55:
         f = random_fn(rng, max_degree=12, max_terms=3)
         if f.term_count() >= 2:
             fns.append(f)
-    fns += [random_fn(rng, max_terms=3).pow(m) for m in (2, 3, 4) for _ in range(5)]
+    return fns + [random_fn(rng, max_terms=3).pow(m) for m in (2, 3, 4) for _ in range(5)]
+
+
+def test_sup_matches_grid_oracle_random():
+    # a 200001-point grid bounds both from below and above
     xs = np.linspace(-10.0, 10.0, 200001)
-    for f in fns:
+    for f in oracle_sweep():
         vals = eval_json(f.to_json(), xs)
         grid = float(np.abs(vals).max())
         ours = f.sup_abs()
@@ -251,6 +254,38 @@ def test_sup_matches_grid_oracle_random():
         gl, gh = min(0.0, float(vals.real.min())), max(0.0, float(vals.real.max()))
         assert gl - 1e-6 * grid - 1e-9 <= lo <= gl + 1e-8 * (1 + grid)
         assert gh - 1e-8 * (1 + grid) <= hi <= gh + 1e-6 * grid + 1e-9
+
+
+def grid_sup_oracle_2d(f, half_width=6.0, n=601):
+    axis = np.linspace(-half_width, half_width, n)
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    out = np.zeros_like(x, dtype=complex)
+    for t in f.terms:
+        a, b = (float(d) for d in t.decay)
+        p = sum(complex(c) * x ** e[0] * y ** e[1] for e, c in t.poly.terms.items())
+        out = out + p * np.exp(-a * x * x - b * y * y)
+    return float(np.abs(out).max())
+
+
+def test_sup_bound_is_above_every_supremum():
+    # B (1 + 1e-12), the margin the Schwartz family maximum skips with, is
+    # above the computed supremum and above the grid oracle: on the oracle
+    # sweep, on complex (Fourier) functions, and on n = 2 functions
+    xs = np.linspace(-10.0, 10.0, 200001)
+    rng = random.Random(41)
+    fourier = [random_fn(rng, max_degree=6, max_terms=3).fourier() for _ in range(15)]
+    for f in oracle_sweep() + fourier:
+        bound = f.sup_bound() * (1.0 + 1e-12)
+        assert bound >= f.sup_abs()
+        assert bound >= float(np.abs(eval_json(f.to_json(), xs)).max())
+    plane = SchwartzSpace(2)
+    for _ in range(12):
+        f = plane.random_element(rng, max_degree=3)
+        bound = f.sup_bound() * (1.0 + 1e-12)
+        assert bound >= f.sup_abs()
+        assert bound >= grid_sup_oracle_2d(f)
+    # one monomial: the bound is the supremum itself
+    assert abs(XGAUSS.sup_bound() - (2 * math.e) ** -0.5) <= 1e-16
 
 
 def test_candidates_are_roots_of_each_group_derivative():
@@ -312,6 +347,39 @@ def test_vectorised_eval_matches_scalar():
         want = np.array([f._eval1(float(x)) for x in xs])
         envelope = max(float(np.abs(want).max()), 1e-300)
         assert np.abs(got - want).max() <= 1e-13 * envelope
+
+
+def polyval_per_group(f, xs):
+    """The evaluator that the stacked one replaced: np.polyval and np.exp
+    once per decay group, summed in term order."""
+    x2 = xs * xs
+    out = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in f.terms:
+            a, re_desc, im_desc = t.flat1()
+            v = np.polyval(re_desc, xs)
+            if im_desc:
+                v = v + 1j * np.polyval(im_desc, xs)
+            e = np.exp(-a * x2)
+            out = out + np.where(e == 0.0, 0.0, v * e)
+    return out
+
+
+def test_stacked_eval_is_the_per_group_polyval_bit_for_bit():
+    # real, complex and mixed functions, on the guard grid, on zoom-shaped
+    # (brackets x 65) arrays and far out where Gaussian factors underflow
+    rng = random.Random(43)
+    fns = [random_fn(rng, max_degree=12, max_terms=3) for _ in range(15)]
+    fns += [random_fn(rng, max_degree=6, max_terms=3).fourier() for _ in range(5)]
+    fns += [f.add(random_fn(rng, max_degree=8, max_terms=2)) for f in fns[-5:]]
+    fns += [random_fn(rng, max_terms=3).pow(m) for m in (2, 3, 4)]
+    far = np.array([0.0, -0.0, 1e-300, 27.0, -40.0, 3.4809431553297174e22])
+    zoom = np.linspace(-3.0, 5.0, 7 * 65).reshape(7, 65)
+    for f in fns:
+        for xs in (f._guard_grid(), zoom, far):
+            got, want = f._eval1_np(xs), polyval_per_group(f, xs)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_eval_far_out_is_zero_not_nan():

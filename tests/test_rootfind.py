@@ -5,7 +5,7 @@ import sys
 import numpy as np
 
 from fsemcalc import rootfind
-from fsemcalc.rootfind import _XTOL, poly_diff, poly_eval, real_roots, ternary_max, zoom_max
+from fsemcalc.rootfind import _XTOL, poly_diff, poly_eval, real_roots, real_roots_many, ternary_max, zoom_max
 
 
 def poly_from_roots(roots):
@@ -96,6 +96,54 @@ def test_duplicate_seeds_refined_once_same_roots():
         if not want or abs(r - want[-1]) > 1e-11 * (1.0 + abs(r)):
             want.append(r)
     assert real_roots(coeffs) == want
+
+
+def roots_one_by_one(coeffs):
+    """real_roots as it was before the batched core: np.roots per polynomial."""
+    c = rootfind._strip(coeffs)
+    if len(c) <= 3:
+        return rootfind._low_degree_roots(c)
+    seeds = np.roots(list(reversed(c)))
+    scale = 1.0 + max(abs(s) for s in seeds)
+    tol = rootfind._IMAG_TOL
+    near_real = {float(z.real) for z in seeds if abs(z.imag) <= tol * (1.0 + abs(z.real))}
+    out = sorted(rootfind._refine(c, x, scale) for x in near_real)
+    dedup = []
+    for r in out:
+        if not dedup or abs(r - dedup[-1]) > 1e-11 * (1.0 + abs(r)):
+            dedup.append(r)
+    return dedup
+
+
+def test_batched_roots_are_the_one_by_one_roots_bit_for_bit():
+    # companions of one size share an eigvals call; every list of roots is
+    # the one real_roots, and np.roots before it, gives for that polynomial
+    rng = random.Random(17)
+    polys = [
+        [-2.0, 1.0],  # degree 1
+        [1.0, 0.0, 1.0],  # degree 2, no real root
+        [0.0, 0.0, 1.0],  # degree 2, double root at 0
+        [0.0, 0.0, 0.0, 1.0],  # only zero roots: no companion at all
+        [0.0, 0.0, 0.0, 0.0, -2.5, 0.0],  # the same after the top zero is cut
+        [0.0, 0.0, 1.0, 1.0],  # two zero roots and a size-1 companion
+        [0.0, -6.0, 11.0, -6.0, 1.0],  # a zero root beside 1, 2, 3
+        [],
+    ]
+    for _ in range(300):
+        degree = rng.randint(3, 14)
+        c = [rng.choice([0.0, rng.uniform(-5.0, 5.0)]) for _ in range(degree)] + [rng.uniform(0.5, 5.0)]
+        if rng.random() < 0.3:
+            c = [0.0] * rng.randint(1, 4) + c
+        polys.append(c)
+    polys += [poly_from_roots(sorted(rng.uniform(-4, 4) for _ in range(rng.randint(3, 10)))) for _ in range(100)]
+
+    def bits(roots):
+        return [x.hex() for x in roots]
+
+    want = [bits(roots_one_by_one(p)) for p in polys]
+    assert [bits(r) for r in real_roots_many(polys)] == want
+    assert [bits(real_roots(p)) for p in polys] == want
+    assert want[3] == ["0x0.0p+0"]
 
 
 def test_ternary_max():

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsemcalc import gausspoly
 from fsemcalc.gausspoly import GaussPolyFn
+from fsemcalc.seminorms import family_max
 from fsemcalc.spaces import (
     SchwartzSpace,
     SeqElement,
@@ -223,6 +225,44 @@ def test_schwartz_homogeneous():
         s = rng.uniform(-3, 3)
         for sid in (((0,), (0,)), ((1,), (1,))):
             assert SCH.seminorm(sid, f.scale(s)) == pytest.approx(abs(s) * SCH.seminorm(sid, f), rel=1e-12)
+
+
+def test_schwartz_family_max_is_the_max_of_its_seminorms_bit_for_bit(monkeypatch):
+    # the members are taken in decreasing-bound order and the ones whose
+    # bound is below the running maximum are skipped; the maximum is the
+    # float that max over every seminorm gives
+    taken = []
+    sup_abs = GaussPolyFn.sup_abs
+
+    def counting(self):
+        taken.append(1)
+        return sup_abs(self)
+
+    monkeypatch.setattr(GaussPolyFn, "sup_abs", counting)
+
+    def check(f, ids):
+        gausspoly._CANDIDATE_CACHE.clear()
+        taken.clear()
+        got = family_max(SCH, f, ids)
+        skipped = len(ids) - len(taken)
+        want = max(SCH.seminorm(sid, f) for sid in ids)
+        assert got.hex() == want.hex()
+        return skipped
+
+    # D e^{-x^2} = -2x e^{-x^2} is twice x e^{-x^2}: one-monomial bounds are
+    # the suprema themselves, so the (1, 0) member is skipped
+    gauss = GaussPolyFn.gaussian((Fraction(1),))
+    assert check(gauss, [((0,), (1,)), ((1,), (0,))]) == 1
+    assert check(gauss, [((1,), (0,)), ((0,), (1,))]) == 1
+    rng = random.Random(19)
+    pool = SCH.enum_ids(15)
+    skipped = 0
+    for _ in range(60):
+        f = SCH.random_element(rng, max_degree=rng.choice([2, 4, 8]), max_terms=rng.choice([1, 2, 3]))
+        if rng.random() < 0.3:
+            f = f.pow(rng.choice([2, 3]))
+        skipped += check(f, rng.sample(pool, rng.randint(1, 5)))
+    assert skipped > 0
 
 
 def test_schwartz_enum_order():
