@@ -77,7 +77,7 @@ def median_time(call, prepare, repeat):
 
 def cold(build):
     def prepare():
-        gausspoly._CANDIDATE_CACHE.clear()
+        gausspoly._unit_candidates.cache_clear()
         return build()
 
     return prepare

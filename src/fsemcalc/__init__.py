@@ -32,7 +32,6 @@ from .differentiation import (
     continuity_verify,
     delta_constructor,
     dr_ratio,
-    estimate_gateaux,
     fnorm_translate_backward,
     fnorm_translate_forward,
     gateaux_residual,

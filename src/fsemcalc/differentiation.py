@@ -48,7 +48,6 @@ __all__ = [
     "default_t_schedule",
     "gateaux_residual",
     "verify_gateaux",
-    "estimate_gateaux",
     "dr_ratio",
     "delta_constructor",
     "verify_frechet",
@@ -174,41 +173,6 @@ def verify_gateaux(op: Operator, xbar, v, L: LinearMap, J, epsilon: float, t_sch
     tail = per_mag[half:]
     monotone = all(tail[i + 1] <= tail[i] * (1 + 1e-9) + 1e-15 for i in range(len(tail) - 1))
     return GateauxWitness(J, float(epsilon), delta if found else 0.0, records, found and monotone, seed)
-
-
-def estimate_gateaux(op: Operator, xbar, v, t_schedule=None, J=None):
-    """Numeric difference-quotient limit: the quotient at the smallest t plus
-    per-seminorm convergence diagnostics (successive quotient gaps)."""
-    dom, cod = op.domain, op.codomain
-    if dom.is_zero(v):
-        raise ValueError("direction must be nonzero")
-    mags = sorted(set(abs(t) for t in (t_schedule or default_t_schedule())), reverse=True)
-    J = index_set(cod, J or cod.enum_ids(2))
-    tx = op.apply(xbar)
-
-    def quotient(t):
-        return cod.scale(_reciprocal(t), cod.sub(op.apply(dom.add(xbar, dom.scale(t, v))), tx))
-
-    quots = [quotient(m) for m in mags]
-    diffs = [cod.sub(quots[i + 1], quots[i]) for i in range(len(quots) - 1)]
-    per_sid = {
-        str(sid): [float(cod.seminorm(sid, d)) for d in diffs] for sid in J.ids
-    }
-    gaps = [max(vals[i] for vals in per_sid.values()) for i in range(len(diffs))]
-    converging = not gaps or gaps[-1] <= max(gaps[0], 1e-15)
-    report = CheckReport(
-        "gateaux_estimate",
-        converging,
-        None,
-        len(mags),
-        0.0,
-        details={
-            "t_min": float(mags[-1]),
-            "successive_gaps": [float(g) for g in gaps],
-            "per_seminorm": per_sid,
-        },
-    )
-    return quots[-1], report
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +349,7 @@ def _resolve_delta(delta_source, recipe_fn, dom):
 
 def _neighbourhood(dom, I: IndexSet, delta: float, rng, count: int):
     """Yield count pairs (u, max_I p(u)) with 0 < max_I p(u) < delta, one per
-    _dr_targets level, from the space's own random directions.
-
-    A generator, so that each caller evaluates a sample before the next is
-    drawn: the supremum candidate cache then fills in the same order as a
-    loop that interleaves drawing and testing.
-    """
+    _dr_targets level, from the space's own random directions."""
     for target in _dr_targets(delta, rng, count):
         for _ in range(20):
             u = scale_into(dom, dom.random_direction(rng), I, target)

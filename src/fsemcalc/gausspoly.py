@@ -15,6 +15,7 @@ several groups; see :meth:`GaussPolyFn.sup_abs`.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -27,9 +28,6 @@ __all__ = ["SparsePoly", "GaussPolyTerm", "GaussPolyFn", "leibniz_expand", "leib
 
 # Tolerance for merging float decay vectors and for approx-equality queries.
 MERGE_TOL = 1e-12
-
-# Shared candidate-point cache for 1-d suprema, keyed on normalized data.
-_CANDIDATE_CACHE: dict = {}
 
 
 # Exact/inexact scalar helpers, shared with spaces.py.  Type tests, not
@@ -272,6 +270,9 @@ class GaussPolyFn:
                     break
             else:
                 merged.append(t)
+        # one term order for evaluation, keys and JSON: equal functions
+        # built in other orders sum their terms alike
+        merged.sort(key=lambda t: t.decay)
         self.terms = tuple(merged)
 
     # -- constructors -------------------------------------------------------
@@ -551,57 +552,19 @@ class GaussPolyFn:
         return [0.0] + [x for roots in real_roots_many(polys) for x in roots]
 
     def _norm_key(self):
-        """Scale-invariant structural key: coefficients divided by the
-        largest magnitude.  Critical points of |c f| equal those of |f|, so
+        """Scale-invariant key (n = 1): each term's decay and float Horner
+        rows (:meth:`GaussPolyTerm.flat1`) divided by the largest coefficient
+        magnitude.  Critical points of |c f| equal those of |f|, so
         candidate sets can be shared across scalar multiples; scaling by a
         power of two leaves the normalized mantissas bitwise identical."""
         top = max(t.poly.max_abs_coeff() for t in self.terms)
-        if top == 0.0:
-            return None
-        parts = []
-        for t in sorted(self.terms, key=lambda t: tuple(float(a) for a in t.decay)):
-            items = []
-            for e, c in sorted(t.poly.terms.items()):
-                v = complex(_inexact(c)) / top
-                items.append((e, v.real, v.imag))
-            parts.append((tuple(float(a) for a in t.decay), tuple(items)))
-        return (self.n, tuple(parts))
+        flats = [t.flat1() for t in self.terms]
+        return tuple((a, tuple(v / top for v in re), tuple(v / top for v in im)) for a, re, im in flats)
 
     def _guard_grid(self):
         """The grid that multi-term suprema and signed ranges scan."""
         r = self._tail_radius()
         return np.linspace(-r, r, 513)
-
-    def _sup_candidates_1d(self):
-        key = self._norm_key()
-        hit = _CANDIDATE_CACHE.get(key)
-        if hit is not None:
-            return hit
-        cands = self._critical_candidates_1d()
-        if len(self.terms) > 1:
-            # cross-decay interference can move the maximum off every
-            # per-group critical point: guard with a grid over the region
-            # where the envelope is non-negligible, refining local maxima
-            grid = self._guard_grid()
-            vals = np.abs(self._eval1_np(grid))
-            mid = vals[1:-1]
-            peaks = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid > 0.0))
-            if peaks.size:
-                refined = zoom_max(lambda xs: np.abs(self._eval1_np(xs)), grid[peaks], grid[peaks + 2])
-                cands.extend(refined.tolist())
-        seen = set()
-        uniq = []
-        for c in cands:
-            bucket = round(c, 13)
-            if bucket not in seen:
-                seen.add(bucket)
-                uniq.append(c)
-        cands = tuple(uniq)
-        if key is not None:
-            if len(_CANDIDATE_CACHE) > 8192:
-                _CANDIDATE_CACHE.clear()
-            _CANDIDATE_CACHE[key] = cands
-        return cands
 
     def sup_abs(self) -> float:
         """sup over R^n of |f|.
@@ -615,6 +578,9 @@ class GaussPolyFn:
         non-negligible is evaluated in numpy and each of its local maxima is
         refined by a vectorised zoom (:func:`rootfind.zoom_max`).  The
         multi-group value is a grid-guarded estimate, not a certified bound.
+        The points come from f divided by its largest coefficient and are
+        memoized on it (:func:`_unit_candidates`), so the value depends on f
+        alone, not on which suprema ran before.
         n >= 2: adaptive tensor grid; see :meth:`sup_abs_report`.
         """
         return self.sup_abs_report()[0]
@@ -624,7 +590,7 @@ class GaussPolyFn:
         if self.is_zero():
             return 0.0, 0.0
         if self.n == 1:
-            best = max(abs(self._eval1(x)) for x in self._sup_candidates_1d())
+            best = max(abs(self._eval1(x)) for x in _unit_candidates(self._norm_key()))
             return best, 1e-12 * best
         return self._sup_abs_grid()
 
@@ -661,7 +627,7 @@ class GaussPolyFn:
             raise NotImplementedError("signed_range: exact mode is n = 1 only")
         if self.is_zero():
             return 0.0, 0.0
-        vals = [self._eval1(x).real for x in self._sup_candidates_1d()]
+        vals = [self._eval1(x).real for x in _unit_candidates(self._norm_key())]
         if len(self.terms) > 1:
             grid_vals = self._eval1_np(self._guard_grid()).real
             vals += [float(grid_vals.min()), float(grid_vals.max())]
@@ -671,7 +637,7 @@ class GaussPolyFn:
 
     def to_json(self) -> dict:
         terms = []
-        for t in sorted(self.terms, key=lambda t: tuple(float(a) for a in t.decay)):
+        for t in self.terms:
             poly = []
             for e, c in sorted(t.poly.terms.items()):
                 v = _inexact(c)
@@ -742,6 +708,41 @@ class GaussPolyFn:
 
     def __repr__(self):
         return f"GaussPolyFn(n={self.n}, terms={len(self.terms)})"
+
+
+@functools.lru_cache(maxsize=8192)
+def _unit_candidates(key):
+    """The points at which :meth:`GaussPolyFn.sup_abs` evaluates every
+    scalar multiple of the n = 1 function that key spells out
+    (:meth:`GaussPolyFn._norm_key`).  They are computed from that
+    normalized function alone, so a memo hit returns what a miss computes.
+    """
+    terms = []
+    for a, re, im in key:
+        im = im or (0.0,) * len(re)
+        coeffs = {(k,): complex(r, i) if i else r for k, (r, i) in enumerate(zip(re[::-1], im[::-1]))}
+        terms.append(GaussPolyTerm(SparsePoly(1, coeffs), (a,)))
+    f = GaussPolyFn(1, terms)
+    cands = f._critical_candidates_1d()
+    if len(f.terms) > 1:
+        # cross-decay interference can move the maximum off every
+        # per-group critical point: guard with a grid over the region
+        # where the envelope is non-negligible, refining local maxima
+        grid = f._guard_grid()
+        vals = np.abs(f._eval1_np(grid))
+        mid = vals[1:-1]
+        peaks = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid > 0.0))
+        if peaks.size:
+            refined = zoom_max(lambda xs: np.abs(f._eval1_np(xs)), grid[peaks], grid[peaks + 2])
+            cands.extend(refined.tolist())
+    seen = set()
+    uniq = []
+    for c in cands:
+        bucket = round(c, 13)
+        if bucket not in seen:
+            seen.add(bucket)
+            uniq.append(c)
+    return tuple(uniq)
 
 
 def leibniz_summands(g: GaussPolyFn, f: GaussPolyFn, beta):

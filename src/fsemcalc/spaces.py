@@ -341,8 +341,7 @@ class SchwartzSpace(_SpaceBase):
     def family_max(self, f: GaussPolyFn, ids) -> float:
         """max over the normalized (alpha, beta) in ids of
         sup |x^alpha D^beta f|, from fewer suprema than
-        ``max(self.seminorm(s, f) for s in ids)``; the same float whenever
-        the two read the same candidate-cache entries (see the end).
+        ``max(self.seminorm(s, f) for s in ids)``, and the same float.
 
         Each member h = x^alpha D^beta f is built once with its closed-form
         bound B >= sup |h| (:meth:`GaussPolyFn.sup_bound`).  The suprema are
@@ -367,11 +366,7 @@ class SchwartzSpace(_SpaceBase):
         below the running maximum, and cannot be the maximum.  The
         functions of the schwartz-frechet benchmark and the seed-42
         catalogue have d <= 17 and M <= 83.  Each supremum taken is
-        ``sup_abs`` of the same h.  A skipped member fills no entry of the
-        candidate cache, which scalar multiples share, so a later supremum of
-        a multiple of it finds its own candidates where taking every member
-        would have reused the skipped one's; the two can differ in the last
-        bit.
+        ``sup_abs`` of the same h.
         """
         members = []
         for alpha, beta in ids:

@@ -312,8 +312,6 @@ def test_builtin_catalogue_suite_passes():
 
 @pytest.mark.slow
 def test_report_identical_across_processes(tmp_path):
-    # suites share the supremum candidate cache, so the report repeats
-    # across processes only when they fill it in a fixed order
     env = dict(os.environ, PYTHONPATH=str(Path(fsemcalc.__file__).parent.parent))
     texts = []
     for i in range(2):
@@ -327,6 +325,21 @@ def test_report_identical_across_processes(tmp_path):
         assert proc.returncode in (0, 2), proc.stderr
         texts.append(json.dumps(_strip_timing(json.loads(out.read_text()))))
     assert texts[0] == texts[1]
+
+
+def test_each_schwartz_suite_alone_gives_the_witness_of_the_whole_run(tmp_path):
+    # a suite run by name follows other history than in the whole run (here
+    # the whole run and the suites named after it), and gives the same witness
+    whole = tmp_path / "whole.json"
+    assert main(["suite", "--seed", "42", "--out", str(whole)]) == 0
+    witnesses = {s["name"]: s["witness"] for s in json.loads(whole.read_text())["suites"]}
+    names = [name for name in witnesses if "schwartz" in name]
+    assert len(names) >= 4
+    for name in reversed(names):
+        out = tmp_path / f"{name}.json"
+        assert main(["suite", "--seed", "42", "--suite", name, "--out", str(out)]) == 0
+        (alone,) = json.loads(out.read_text())["suites"]
+        assert alone["witness"] == witnesses[name], name
 
 
 def test_package_runs_as_a_module():

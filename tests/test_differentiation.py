@@ -1,9 +1,15 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fsemcalc
 from fsemcalc.differentiation import (
     NoRecipeError,
     basis_independence_check,
@@ -12,7 +18,6 @@ from fsemcalc.differentiation import (
     default_t_schedule,
     delta_constructor,
     dr_ratio,
-    estimate_gateaux,
     fnorm_translate_backward,
     fnorm_translate_forward,
     frechet_implies_continuity_check,
@@ -109,24 +114,6 @@ def test_verify_gateaux_residual_rate_sigma():
     for k in range(4, 8):
         ratio = vals[k + 1] / vals[k]
         assert 0.9 * 10**-0.5 <= ratio <= 1.1 * 10**-0.5
-
-
-def test_estimate_gateaux_crosschecks_analytic():
-    est, rep = estimate_gateaux(Q2, ONE, ONE, J=[1])
-    assert rep.passed
-    assert float(est.entry(1)) == pytest.approx(2.0, abs=1e-6)
-    gap = family_max(SIGMA, est.sub(analytic_frechet(Q2, ONE).apply(ONE)), index_set(SIGMA, [1]))
-    assert gap <= 1e-3  # |1e-8|^0.5 = 1e-4 scale
-    # linear operator: the quotient equals the analytic image exactly
-    d = Operator("identity", {}, SIGMA, SIGMA)
-    est, _ = estimate_gateaux(d, ONE, ONE, J=[1])
-    assert est == ONE
-
-
-def test_estimate_gateaux_cube_at_origin():
-    r3 = Operator("power", {"m": 3}, S, S)
-    est, _ = estimate_gateaux(r3, SeqElement.zero(), SeqElement([2]), J=[1])
-    assert float(est.entry(1)) == pytest.approx(0.0, abs=1e-12)
 
 
 # -- (DR) / (DZ) ----------------------------------------------------------------
@@ -366,6 +353,56 @@ def test_verify_frechet_power4_two_term_point_no_overflow():
     J = [((0,), (0,)), ((0,), (1,))]
     w = verify_frechet(P4, xbar, J, 0.5, delta_source="constructive", rng=random.Random(2143674208), n_samples=10)
     assert w.passed and w.recipe == "schwartz-power"
+
+
+# Twelve Schwartz power verdicts (m = 2..4, two base points, two epsilons),
+# each with its own seeded generator; argv[1] == "reversed" runs them last
+# to first.  Prints one witness JSON per case, in case order.
+RUN_ORDER_SCRIPT = """
+import json, random, sys
+from fractions import Fraction
+from fsemcalc.differentiation import verify_frechet
+from fsemcalc.gausspoly import GaussPolyFn
+from fsemcalc.operators import Operator
+from fsemcalc.spaces import SchwartzSpace
+
+SCH = SchwartzSpace(1)
+points = [
+    GaussPolyFn.gaussian((Fraction(1),)),
+    GaussPolyFn.from_term({(0,): Fraction(1), (1,): Fraction(1)}, (Fraction(1),)),
+]
+cases = [(m, x, eps) for m in (2, 3, 4) for x in points for eps in (0.1, 0.01)]
+order = list(range(len(cases)))
+if sys.argv[1] == "reversed":
+    order.reverse()
+out = {}
+for k in order:
+    m, x, eps = cases[k]
+    w = verify_frechet(
+        Operator("power", {"m": m}, SCH, SCH), x, [((0,), (0,)), ((0,), (1,))], eps,
+        delta_source="constructive", rng=random.Random(1000 + k), n_samples=60,
+    )
+    out[k] = json.dumps(w.to_json(SCH), sort_keys=True)
+print(json.dumps([out[k] for k in range(len(cases))]))
+"""
+
+
+@pytest.mark.slow
+def test_schwartz_witnesses_do_not_depend_on_run_order():
+    # each order runs in a fresh process, so nothing but the order differs
+    env = dict(os.environ, PYTHONPATH=str(Path(fsemcalc.__file__).parent.parent))
+    runs = []
+    for order in ("forward", "reversed"):
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_ORDER_SCRIPT, order], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout))
+    forward, backward = runs
+    assert len(forward) == 12
+    assert all(json.loads(w)["passed"] for w in forward)
+    differ = [k for k in range(12) if forward[k] != backward[k]]
+    assert not differ, differ
 
 
 def test_scale_into_lands_on_target():

@@ -323,6 +323,30 @@ def test_sup_scales_linearly():
     assert abs(XGAUSS.scale(Fraction(3, 2)).sup_abs() - 1.5 * s) < 1e-13
 
 
+def test_sup_of_a_multiple_is_the_same_on_a_cold_and_a_warm_memo():
+    # scalar multiples share their candidate points, which are computed
+    # from the function divided by its largest coefficient; so sup |c f|
+    # cannot depend on whether f or c f reached the memo first
+    rng = random.Random(43)
+    space = SchwartzSpace(1)
+    hits = 0
+    for k in range(40):
+        f = space.random_element(rng, max_degree=6, max_terms=rng.choice([1, 2, 3]), exact=k % 2 == 0)
+        if rng.random() < 0.3:
+            f = f.pow(2)
+        for c in (-rng.randint(2, 9), rng.uniform(-5.0, 5.0), Fraction(rng.choice([-7, -3, 5, 11]), rng.randint(1, 13))):
+            g = f.scale(c)
+            gausspoly._unit_candidates.cache_clear()
+            cold = g.sup_abs()
+            gausspoly._unit_candidates.cache_clear()
+            f.sup_abs()
+            before = gausspoly._unit_candidates.cache_info().hits
+            warm = g.sup_abs()
+            hits += gausspoly._unit_candidates.cache_info().hits - before
+            assert warm.hex() == cold.hex(), (f, c)
+    assert hits > 0  # some multiples did reuse the points of f
+
+
 def test_sup_n2_grid_mode():
     f = GaussPolyFn.gaussian((Fraction(1), Fraction(1)))
     val, tol = f.sup_abs_report()

@@ -140,6 +140,30 @@ def _difference(o, xbar, u):
     return cod.sub(cod.sub(o.apply(dom.add(xbar, u)), o.apply(xbar)), analytic_frechet(o, xbar).apply(u))
 
 
+# Two-group Schwartz point and direction with exact coefficients.
+XBAR2 = GaussPolyFn.from_term({(2,): Fraction(4)}, (Fraction(2),)).add(
+    GaussPolyFn.from_term({(0,): Fraction(6), (2,): Fraction(6)}, (Fraction(1, 2),))
+)
+U2 = GaussPolyFn.from_term({(1,): Fraction(1, 3)}, (Fraction(1),)).add(
+    GaussPolyFn.from_term({(0,): Fraction(-2), (3,): Fraction(1, 5)}, (Fraction(3, 2),))
+)
+
+
+def test_equal_functions_built_in_other_term_orders_give_one_seminorm():
+    # the closed-form remainder and the three-term difference are the same
+    # function, built with their decay groups in other orders; both keep
+    # the groups in decay order, so every seminorm is the same float
+    o = Operator("power", {"m": 2}, SCH, SCH)
+    t = Fraction(1, 10)
+    closed = SCH.scale(1 / t, o.taylor_remainder(XBAR2)(SCH.scale(t, U2)))
+    summed = SCH.scale(1 / t, _difference(o, XBAR2, SCH.scale(t, U2)))
+    assert closed == summed
+    assert [g.decay for g in closed.terms] == [g.decay for g in summed.terms]
+    assert closed.to_json() == summed.to_json()
+    for sid in SCH.enum_ids(10):
+        assert SCH.seminorm(sid, closed).hex() == SCH.seminorm(sid, summed).hex(), sid
+
+
 def test_taylor_remainder_is_the_exact_difference():
     # exact data on both sides, so the closed form and the difference of
     # the three terms must agree exactly; this also checks analytic_frechet
@@ -150,9 +174,7 @@ def test_taylor_remainder_is_the_exact_difference():
         (S, S, SeqElement([f(3)], tail=f(1, 2)), SeqElement([f(-1, 3), f(7, 2)], tail=f(5, 2))),
         (S, S, SeqElement([f(-2), f(5, 4), 1], tail=f(-3, 2)), SeqElement([f(1, 9)], tail=f(1, 4))),
     ]
-    xbar2 = GaussPolyFn.from_term({(2,): f(4)}, (f(2),)).add(GaussPolyFn.from_term({(0,): f(6), (2,): f(6)}, (f(1, 2),)))
-    u2 = GaussPolyFn.from_term({(1,): f(1, 3)}, (f(1),)).add(GaussPolyFn.from_term({(0,): f(-2), (3,): f(1, 5)}, (f(3, 2),)))
-    fn_cases = [(SCH, SCH, xbar2, u2), (SCH, SCH, GaussPolyFn.zero(1), u2), (SCH, SCH, xbar2, GaussPolyFn.zero(1))]
+    fn_cases = [(SCH, SCH, XBAR2, U2), (SCH, SCH, GaussPolyFn.zero(1), U2), (SCH, SCH, XBAR2, GaussPolyFn.zero(1))]
     poly = {"coeffs": (f(1, 2), 0, 3, f(-1, 4))}  # a zero coefficient
     cases = []
     for dom, cod, xbar, u in seq_cases + fn_cases:
@@ -170,15 +192,14 @@ def test_taylor_remainder_is_the_exact_difference():
         dom, cod = o.domain, o.codomain
         increment = cod.sub(o.apply(dom.add(xbar, u)), o.apply(xbar))
         assert expansion.increment(u) == increment, (o.describe(), xbar, u)
-        # the Gateaux residual is built from the same closed form; a function
-        # equal to the difference but summed in another term order may reach
-        # its supremum one rounding apart, a sequence is compared exactly
+        # the Gateaux residual is built from the same closed form, and equal
+        # functions keep their terms in one order, so the two agree exactly
         if not o.domain.is_zero(u):
             cod = o.codomain
             J = [((0,), (0,))] if isinstance(cod, SchwartzSpace) else [1, 2, 3]
             want = family_max(cod, cod.scale(1 / t, _difference(o, xbar, o.domain.scale(t, u))), J)
             got = gateaux_residual(o, xbar, u, analytic_frechet(o, xbar), t, J)
-            assert math.isclose(got, want, rel_tol=1e-15 if isinstance(cod, SchwartzSpace) else 0.0), o.describe()
+            assert got == want, o.describe()
     # a linear kind's remainder is the codomain origin
     x = SeqElement([f(3), f(-1, 2)], tail=f(1, 4))
     for o in (Operator("identity", {}, S, S), Operator("scale", {"a": 2}, S, S)):
@@ -193,8 +214,8 @@ def test_taylor_remainder_is_the_exact_difference():
         Operator("inv_fourier", {}, SCH, SCH),
     ]
     for o in sch_ops:
-        assert o.taylor_remainder(xbar2)(u2).is_zero(), o.describe()
-        assert o.taylor_remainder(xbar2).increment(u2) == o.apply(u2), o.describe()
+        assert o.taylor_remainder(XBAR2)(U2).is_zero(), o.describe()
+        assert o.taylor_remainder(XBAR2).increment(U2) == o.apply(U2), o.describe()
 
 
 def test_taylor_remainder_is_exact_only_on_exact_entries():

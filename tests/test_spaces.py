@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fsemcalc import gausspoly
 from fsemcalc.gausspoly import GaussPolyFn
 from fsemcalc.seminorms import family_max
 from fsemcalc.spaces import (
@@ -241,7 +240,6 @@ def test_schwartz_family_max_is_the_max_of_its_seminorms_bit_for_bit(monkeypatch
     monkeypatch.setattr(GaussPolyFn, "sup_abs", counting)
 
     def check(f, ids):
-        gausspoly._CANDIDATE_CACHE.clear()
         taken.clear()
         got = family_max(SCH, f, ids)
         skipped = len(ids) - len(taken)
