@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import multiindex as mi
@@ -100,7 +100,6 @@ class GateauxWitness:
     schedule: list  # (t, residual) pairs
     passed: bool
     seed: int | None = None
-    details: dict = field(default_factory=dict)
 
     def to_json(self, space=None) -> dict:
         return {
@@ -113,7 +112,6 @@ class GateauxWitness:
             "schedule": [{"t": float(t), "residual": float(r)} for t, r in self.schedule[:MAX_STORED_SAMPLES]],
             "n_schedule": len(self.schedule),
             "residuals": _stats(r for _, r in self.schedule),
-            **({"details": self.details} if self.details else {}),
         }
 
 
@@ -150,11 +148,17 @@ def verify_gateaux(op: Operator, xbar, v, L: LinearMap, J, epsilon: float, t_sch
 
     Passes when such a delta exists and the residual run is eventually
     nonincreasing (over the last half of the schedule, per sign).  The
-    residual is prepared once from xbar and L and read at every t.
+    residual is prepared once from xbar and L and read at every t.  No
+    t_schedule means :func:`default_t_schedule`; an empty one is refused.
     """
+    _check_epsilon(epsilon)
+    if t_schedule is None:
+        t_schedule = default_t_schedule()
+    elif not t_schedule:
+        raise ValueError("t_schedule must not be empty")
     J = index_set(op.codomain, J)
     residual = _residual(op, xbar, L)
-    mags = sorted(set(abs(t) for t in (t_schedule or default_t_schedule())), reverse=True)
+    mags = sorted(set(abs(t) for t in t_schedule), reverse=True)
     records = []
     per_mag = []
     for m in mags:
@@ -191,7 +195,6 @@ class FrechetWitness:
     recipe: str
     passed: bool
     seed: int | None = None
-    details: dict = field(default_factory=dict)
 
     def to_json(self, space=None) -> dict:
         dr = self.dr_samples
@@ -218,7 +221,6 @@ class FrechetWitness:
             "n_dr": len(dr),
             "dr_ratios": _stats(r for _, _, r in dr),
             "dr_samples": stored,
-            **({"details": self.details} if self.details else {}),
         }
 
 
@@ -265,7 +267,7 @@ def delta_constructor(op: Operator, xbar, J, epsilon: float):
     if op.is_linear:
         return _covering_index_set(dom, J), float(epsilon), "linear-exact"
     if op.kind in ("power", "cross_power"):
-        m = int(op.params["m"])
+        m = op.params["m"]
         I = _covering_index_set(dom, J)
         if isinstance(dom, SchwartzSpace):
             beta = mi.zero(dom.n)
@@ -361,12 +363,17 @@ def _neighbourhood(dom, I: IndexSet, delta: float, rng, count: int):
         yield u, c
 
 
-def _check_budget(epsilon, n_samples):
+def _check_epsilon(epsilon):
     """Refuse a verdict that could not mean anything: epsilon must be a
-    finite number > 0 and n_samples an integer >= 1 (no samples would make
-    every verdict a vacuous pass)."""
+    finite number > 0."""
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+
+
+def _check_budget(epsilon, n_samples):
+    """_check_epsilon, and n_samples must be an integer >= 1 (no samples
+    would make every verdict a vacuous pass)."""
+    _check_epsilon(epsilon)
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
 
@@ -481,7 +488,7 @@ def continuity_delta(op: Operator, x0, J, epsilon: float):
         ids = [p for fam, _ in bounds for p in fam]
         return index_set(dom, ids), min(eps / max(c * len(fam), 1e-300) for fam, c in bounds), "linear-bound"
     if op.kind == "power" and isinstance(dom, (SigmaRhoSpace, SSpace)):
-        m = int(op.params["m"])
+        m = op.params["m"]
         I = _covering_index_set(dom, J)
         if isinstance(dom, SigmaRhoSpace):
             delta = eps / (m * (dom.p_sup(x0) + 1.0) ** (m - 1) * (eps + 1.0))

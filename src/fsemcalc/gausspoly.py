@@ -40,7 +40,7 @@ def _inexact(c):
     return float(c) if type(c) is Fraction else c
 
 
-# _cadd, _csub and _cmul: exact (a Fraction, also for int with int) when
+# _cadd and _cmul: exact (a Fraction, also for int with int) when
 # both operands are exact, else float/complex.  A Fraction operand is used
 # as it is, and goes on the left, where Fraction's fast path takes an int.
 def _cadd(a, b):
@@ -54,19 +54,6 @@ def _cadd(a, b):
         if tb is int:
             return Fraction(a + b)
     return _inexact(a) + _inexact(b)
-
-
-def _csub(a, b):
-    ta, tb = type(a), type(b)
-    if ta is Fraction:
-        if tb is Fraction or tb is int:
-            return a - b
-    elif ta is int:
-        if tb is Fraction:
-            return -(b - a)
-        if tb is int:
-            return Fraction(a - b)
-    return _inexact(a) - _inexact(b)
 
 
 def _cmul(a, b):
@@ -169,9 +156,6 @@ class SparsePoly:
     def degree(self, i: int) -> int:
         return max((e[i] for e in self.terms), default=0)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(complex(_inexact(c))) for c in self.terms.values()), default=0.0)
-
     def coeff_lists_1d(self):
         """Ascending real/imag float coefficient lists (n = 1 only)."""
         d = self.degree(0)
@@ -243,17 +227,14 @@ class GaussPolyFn:
     immutable by convention; every operation returns a new function (or
     the function itself when it would be an equal copy).  Each instance
     caches its first partial derivatives (:meth:`diff1`), so D^beta chains
-    share their prefixes, and (n = 1) its float evaluation data
-    (:meth:`_stack`); mutating terms after either was built would leave a
-    stale cache.
+    share their prefixes.
     """
 
-    __slots__ = ("n", "terms", "_d1", "_np")
+    __slots__ = ("n", "terms", "_d1")
 
     def __init__(self, n: int, terms=()):
         self.n = n
         self._d1 = None
-        self._np = None
         merged: list[GaussPolyTerm] = []
         for t in terms:
             if t.poly.n != n:
@@ -434,167 +415,47 @@ class GaussPolyFn:
             out_im += vi * e
         return complex(out_re, out_im)
 
-    def _stack(self):
-        """(-decays, re, complex rows, im) built once from every term's
-        :meth:`GaussPolyTerm.flat1` (n = 1, at least one term): -a as a
-        column, the descending real coefficient rows padded with leading
-        zeros to one width, the indices of the terms with imaginary parts,
-        and their imaginary rows."""
-        if self._np is None:
-            flats = [t.flat1() for t in self.terms]
-            width = max(len(re) for _, re, _ in flats)
-            cplx = [k for k, (_, _, im) in enumerate(flats) if im]
-            re = np.zeros((len(flats), width))
-            im = np.zeros((len(cplx), width))
-            for k, (_, r, _) in enumerate(flats):
-                re[k, width - len(r):] = r
-            for row, k in enumerate(cplx):
-                im[row, width - len(flats[k][2]):] = flats[k][2]
-            self._np = (-np.array([[a] for a, _, _ in flats]), re, cplx, im)
-        return self._np
-
-    def _eval1_np(self, xs):
-        """f at every point of the float array xs (n = 1): the vectorised
-        :meth:`_eval1`, a real array when every coefficient is real.
-
-        One Horner pass over a (terms x points) array and one ``np.exp``.
-        A leading zero of a padded row leaves the Horner value at 0, and the
-        terms are summed in order, so each value is the one that a
-        ``np.polyval`` and ``np.exp`` per term give.
-        """
-        if not self.terms:
-            return 0.0
-        neg_a, re, cplx, im = self._stack()
-        xs = np.asarray(xs)
-        x = xs.reshape(-1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = np.exp(neg_a * (x * x))
-            v = _horner(re, x)
-            # as in _eval1: a term whose Gaussian factor underflows is 0
-            terms = v * e
-            if not e.all():
-                terms = np.where(e == 0.0, 0.0, terms)
-            if cplx:
-                vc = v[cplx] + 1j * _horner(im, x)
-                terms = terms.astype(complex)
-                terms[cplx] = np.where(e[cplx] == 0.0, 0.0, vc * e[cplx])
-            # a reduction over the first axis adds the rows in order
-            return np.add.reduce(terms, axis=0).reshape(xs.shape)
-
     def has_real_coeffs(self, tol: float = 0.0) -> bool:
         return all(abs(_cimag(_inexact(c))) <= tol for t in self.terms for c in t.poly.terms.values())
 
     def term_count(self) -> int:
         return len(self.terms)
 
-    def _tail_radius(self) -> float:
-        # Radius beyond which every term's envelope is decreasing and the
-        # total envelope has dropped 1e18 below its value at the threshold.
-        groups = [
-            (float(t.decay[0]), [(e[0], abs(complex(_inexact(c)))) for e, c in t.poly.terms.items()]) for t in self.terms
-        ]
-
-        def envelope(x: float) -> float:
-            out = 0.0
-            for a, mags in groups:
-                out += sum(m * abs(x) ** k for k, m in mags) * math.exp(-a * x * x)
-            return out
-
-        amin = min(a for a, _ in groups)
-        dmax = max(t.poly.degree(0) for t in self.terms)
-        r0 = max(1.0, math.sqrt((dmax + 2.0) / (2.0 * amin)))
-        e0 = envelope(r0)
-        if e0 == 0.0:
-            return r0
-        r = r0
-        for _ in range(200):
-            r *= 1.25
-            if envelope(r) <= 1e-18 * e0:
-                return r
-        return r
-
-    def _critical_candidates_1d(self):
-        """Critical points of each decay group's term f_k = q_k e^{-a_k x^2}
-        (plus 0), from one polynomial per group, built from the cached
-        :meth:`GaussPolyTerm.flat1` rows; all groups' roots come from one
-        :func:`rootfind.real_roots_many` call.
-
-        Real q: the roots of q' - 2 a x q, the polynomial part of f_k' (see
-        :meth:`diff1`), built in float.  Complex q: the roots of the
-        polynomial factor of d/dx |f_k|^2.
-        """
-
-        def pad_add(a, b):
-            if len(a) < len(b):
-                a, b = b, a
-            out = list(a)
-            for i, v in enumerate(b):
-                out[i] += v
-            return out
-
-        def ascending_diff(a):
-            return [i * v for i, v in enumerate(a)][1:] or [0.0]
-
-        polys = []
-        for t in self.terms:
-            a, re_desc, im_desc = t.flat1()
-            re = re_desc[::-1]
-            if not im_desc:
-                polys.append(pad_add(ascending_diff(re), [0.0] + [-2.0 * a * v for v in re]))
-                continue
-            # d/dx |q e^{-a x^2}|^2 has polynomial factor
-            #   re*re' + im*im' - 2 a x (re^2 + im^2)
-            im = im_desc[::-1]
-            s = pad_add(np.convolve(re, ascending_diff(re)), np.convolve(im, ascending_diff(im)))
-            sq = pad_add(np.convolve(re, re), np.convolve(im, im))
-            shifted = [0.0] + [-2.0 * a * v for v in sq]
-            polys.append(pad_add(s, shifted))
-        return [0.0] + [x for roots in real_roots_many(polys) for x in roots]
-
     def _norm_key(self):
         """Scale-invariant key (n = 1): each term's decay and float Horner
-        rows (:meth:`GaussPolyTerm.flat1`) divided by the largest coefficient
-        magnitude.  Critical points of |c f| equal those of |f|, so
-        candidate sets can be shared across scalar multiples; scaling by a
-        power of two leaves the normalized mantissas bitwise identical."""
-        top = max(t.poly.max_abs_coeff() for t in self.terms)
-        flats = [t.flat1() for t in self.terms]
-        return tuple((a, tuple(v / top for v in re), tuple(v / top for v in im)) for a, re, im in flats)
-
-    def _guard_grid(self):
-        """The grid that multi-term suprema and signed ranges scan."""
-        r = self._tail_radius()
-        return np.linspace(-r, r, 513)
+        rows divided by the largest coefficient magnitude.  Critical points
+        of |c f| equal those of |f|, so candidate sets can be shared across
+        scalar multiples; scaling by a power of two leaves the normalized
+        mantissas bitwise identical."""
+        rows = [t.flat1() for t in self.terms]
+        top = max(max(_magnitudes(re, im)) for _, re, im in rows)
+        return tuple((a, tuple(v / top for v in re), tuple(v / top for v in im)) for a, re, im in rows)
 
     def sup_abs(self) -> float:
         """sup over R^n of |f|.
 
         n = 1: |f| is evaluated at the critical points of each decay
         group's term f_k (real roots of one polynomial per group, refined by
-        bisection; see :meth:`_critical_candidates_1d`) and at 0.  That is
-        the whole computation for one group.  With several groups,
-        cross terms can move the maximum off every per-group critical point,
-        so a 513-point guard grid over the region where the envelope is
-        non-negligible is evaluated in numpy and each of its local maxima is
-        refined by a vectorised zoom (:func:`rootfind.zoom_max`).  The
-        multi-group value is a grid-guarded estimate, not a certified bound.
-        The points come from f divided by its largest coefficient and are
-        memoized on it (:func:`_unit_candidates`), so the value depends on f
-        alone, not on which suprema ran before.
-        n >= 2: adaptive tensor grid; see :meth:`sup_abs_report`.
+        bisection; see :func:`_critical_points`) and at 0.  That is the
+        whole computation for one group.  With several groups, cross terms
+        can move the maximum off every per-group critical point, so a
+        513-point guard grid over the region where the envelope is
+        non-negligible (:func:`_guard_grid`) is evaluated in numpy and each
+        of its local maxima is refined by a vectorised zoom
+        (:func:`rootfind.zoom_max`).  The multi-group value is a
+        grid-guarded estimate, not a certified bound.  The points come from
+        f divided by its largest coefficient and are memoized on it
+        (:func:`_unit_candidates`), so the value depends on f alone, not on
+        which suprema ran before.
+        n >= 2: adaptive tensor grid, an estimate (:meth:`_sup_abs_grid`).
         """
-        return self.sup_abs_report()[0]
-
-    def sup_abs_report(self):
-        """(value, reported absolute tolerance estimate)."""
         if self.is_zero():
-            return 0.0, 0.0
+            return 0.0
         if self.n == 1:
-            best = max(abs(self._eval1(x)) for x in _unit_candidates(self._norm_key()))
-            return best, 1e-12 * best
+            return max(abs(self._eval1(x)) for x in _unit_candidates(self._norm_key()))
         return self._sup_abs_grid()
 
-    def _sup_abs_grid(self):
+    def _sup_abs_grid(self) -> float:
         amin = min(min(float(a) for a in t.decay) for t in self.terms)
         dmax = max(max((mi.order(e) for e in t.poly.terms), default=0) for t in self.terms)
         r = max(2.0, math.sqrt((dmax + 4.0) / (2.0 * amin))) * 2.5
@@ -602,7 +463,6 @@ class GaussPolyFn:
         hi = [r] * self.n
         best, bx = 0.0, [0.0] * self.n
         pts_per_axis = 17 if self.n == 2 else 9
-        last_improve = 0.0
         for _ in range(8):
             axes = [np.linspace(lo[i], hi[i], pts_per_axis) for i in range(self.n)]
             grids = np.meshgrid(*axes, indexing="ij")
@@ -610,12 +470,11 @@ class GaussPolyFn:
             vals = [abs(self.eval(tuple(p))) for p in flat]
             k = int(np.argmax(vals))
             if vals[k] > best:
-                last_improve = vals[k] - best
                 best, bx = vals[k], list(flat[k])
             span = [(hi[i] - lo[i]) / (pts_per_axis - 1) for i in range(self.n)]
             lo = [bx[i] - 2 * span[i] for i in range(self.n)]
             hi = [bx[i] + 2 * span[i] for i in range(self.n)]
-        return best, max(last_improve, 1e-9 * best)
+        return best
 
     def signed_range(self):
         """(inf, sup) of the real part over R (n = 1, real coefficients).
@@ -629,7 +488,8 @@ class GaussPolyFn:
             return 0.0, 0.0
         vals = [self._eval1(x).real for x in _unit_candidates(self._norm_key())]
         if len(self.terms) > 1:
-            grid_vals = self._eval1_np(self._guard_grid()).real
+            rows = [t.flat1() for t in self.terms]
+            grid_vals = _eval_rows(rows, _guard_grid(rows)).real
             vals += [float(grid_vals.min()), float(grid_vals.max())]
         return min(0.0, min(vals)), max(0.0, max(vals))
 
@@ -710,30 +570,130 @@ class GaussPolyFn:
         return f"GaussPolyFn(n={self.n}, terms={len(self.terms)})"
 
 
+def _magnitudes(re, im):
+    """|c| of every entry of one term's Horner rows, as abs(complex(c)) of
+    its coefficient c (0 for a missing power)."""
+    return list(map(abs, map(complex, re, im))) if im else list(map(abs, re))
+
+
+def _eval_rows(rows, xs):
+    """f at every point of the float array xs, for the n = 1 function whose
+    terms have the Horner rows ``rows`` (at least one (a, re_desc, im_desc),
+    as :meth:`GaussPolyTerm.flat1` gives them): the vectorised
+    :meth:`GaussPolyFn._eval1`, a real array when every coefficient is real.
+
+    One Horner pass over a (terms x points) array and one ``np.exp``.  The
+    rows are padded with leading zeros to one width, which leave the Horner
+    value at 0, and the terms are summed in order, so each value is the one
+    that a ``np.polyval`` and ``np.exp`` per term give.
+    """
+    width = max(len(re) for _, re, _ in rows)
+    cplx = [k for k, (_, _, im) in enumerate(rows) if im]
+    re = np.zeros((len(rows), width))
+    im = np.zeros((len(cplx), width))
+    for k, (_, r, _) in enumerate(rows):
+        re[k, width - len(r):] = r
+    for row, k in enumerate(cplx):
+        im[row, width - len(rows[k][2]):] = rows[k][2]
+    neg_a = -np.array([[a] for a, _, _ in rows])
+    xs = np.asarray(xs)
+    x = xs.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(neg_a * (x * x))
+        v = _horner(re, x)
+        # as in _eval1: a term whose Gaussian factor underflows is 0
+        terms = v * e
+        if not e.all():
+            terms = np.where(e == 0.0, 0.0, terms)
+        if cplx:
+            vc = v[cplx] + 1j * _horner(im, x)
+            terms = terms.astype(complex)
+            terms[cplx] = np.where(e[cplx] == 0.0, 0.0, vc * e[cplx])
+        # a reduction over the first axis adds the rows in order
+        return np.add.reduce(terms, axis=0).reshape(xs.shape)
+
+
+def _guard_grid(rows):
+    """The 513-point grid that multi-term suprema and signed ranges scan,
+    out to the radius beyond which every term's envelope
+    sum_k |c_k| |x|^k e^{-a x^2} is decreasing and the total envelope has
+    dropped 1e18 below its value at the threshold."""
+    # (k, |c_k|) in ascending powers, missing powers left out
+    groups = [(a, [(k, m) for k, m in enumerate(_magnitudes(re, im)[::-1]) if m]) for a, re, im in rows]
+
+    def envelope(x: float) -> float:
+        out = 0.0
+        for a, mags in groups:
+            out += sum(m * abs(x) ** k for k, m in mags) * math.exp(-a * x * x)
+        return out
+
+    amin = min(a for a, _, _ in rows)
+    dmax = max(len(re) for _, re, _ in rows) - 1
+    r = max(1.0, math.sqrt((dmax + 2.0) / (2.0 * amin)))
+    e0 = envelope(r)
+    if e0 != 0.0:
+        for _ in range(200):
+            r *= 1.25
+            if envelope(r) <= 1e-18 * e0:
+                break
+    return np.linspace(-r, r, 513)
+
+
+def _critical_points(rows):
+    """0 and the critical points of each term f_k = q_k e^{-a_k x^2} of the
+    n = 1 function with Horner rows ``rows``, from one polynomial per term;
+    all terms' roots come from one :func:`rootfind.real_roots_many` call.
+
+    Real q: the roots of q' - 2 a x q, the polynomial part of f_k' (see
+    :meth:`GaussPolyFn.diff1`).  Complex q: the roots of the polynomial
+    factor of d/dx |f_k|^2.
+    """
+
+    def pad_add(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, v in enumerate(b):
+            out[i] += v
+        return out
+
+    def ascending_diff(a):
+        return [i * v for i, v in enumerate(a)][1:] or [0.0]
+
+    polys = []
+    for a, re_desc, im_desc in rows:
+        re = re_desc[::-1]
+        if not im_desc:
+            polys.append(pad_add(ascending_diff(re), [0.0] + [-2.0 * a * v for v in re]))
+            continue
+        # d/dx |q e^{-a x^2}|^2 has polynomial factor
+        #   re*re' + im*im' - 2 a x (re^2 + im^2)
+        im = im_desc[::-1]
+        s = pad_add(np.convolve(re, ascending_diff(re)), np.convolve(im, ascending_diff(im)))
+        sq = pad_add(np.convolve(re, re), np.convolve(im, im))
+        shifted = [0.0] + [-2.0 * a * v for v in sq]
+        polys.append(pad_add(s, shifted))
+    return [0.0] + [x for roots in real_roots_many(polys) for x in roots]
+
+
 @functools.lru_cache(maxsize=8192)
 def _unit_candidates(key):
     """The points at which :meth:`GaussPolyFn.sup_abs` evaluates every
-    scalar multiple of the n = 1 function that key spells out
-    (:meth:`GaussPolyFn._norm_key`).  They are computed from that
-    normalized function alone, so a memo hit returns what a miss computes.
+    scalar multiple of the n = 1 function whose normalized Horner rows are
+    key (:meth:`GaussPolyFn._norm_key`).  They are computed from key alone,
+    so a memo hit returns what a miss computes.
     """
-    terms = []
-    for a, re, im in key:
-        im = im or (0.0,) * len(re)
-        coeffs = {(k,): complex(r, i) if i else r for k, (r, i) in enumerate(zip(re[::-1], im[::-1]))}
-        terms.append(GaussPolyTerm(SparsePoly(1, coeffs), (a,)))
-    f = GaussPolyFn(1, terms)
-    cands = f._critical_candidates_1d()
-    if len(f.terms) > 1:
+    cands = _critical_points(key)
+    if len(key) > 1:
         # cross-decay interference can move the maximum off every
         # per-group critical point: guard with a grid over the region
         # where the envelope is non-negligible, refining local maxima
-        grid = f._guard_grid()
-        vals = np.abs(f._eval1_np(grid))
+        grid = _guard_grid(key)
+        vals = np.abs(_eval_rows(key, grid))
         mid = vals[1:-1]
         peaks = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid > 0.0))
         if peaks.size:
-            refined = zoom_max(lambda xs: np.abs(f._eval1_np(xs)), grid[peaks], grid[peaks + 2])
+            refined = zoom_max(lambda xs: np.abs(_eval_rows(key, xs)), grid[peaks], grid[peaks + 2])
             cands.extend(refined.tolist())
     seen = set()
     uniq = []

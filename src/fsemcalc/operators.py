@@ -68,8 +68,10 @@ class Operator:
                 raise ValueError("cross_power maps sigma_rho into S")
         elif dom is not None and cod is not None and dom.tag != cod.tag:
             raise ValueError(f"{k} maps a space to itself")
-        if k in ("power", "cross_power") and int(self.params.get("m", 0)) < 1:
-            raise ValueError("power requires m >= 1")
+        if k in ("power", "cross_power"):
+            m = self.params.get("m")
+            if type(m) is not int or m < 1:
+                raise ValueError(f"{k} requires an integer m >= 1, got {m!r}")
         if k == "poly" and not self.params.get("coeffs"):
             raise ValueError("poly requires a nonempty coefficient list (a_1..a_m)")
 
@@ -80,7 +82,7 @@ class Operator:
         if self.kind == "poly":
             return tuple(self.params["coeffs"])
         if self.kind in ("power", "cross_power"):
-            return (0,) * (int(self.params["m"]) - 1) + (1,)
+            return (0,) * (self.params["m"] - 1) + (1,)
         return None
 
     @property
@@ -95,7 +97,7 @@ class Operator:
         if k == "scale":
             return self.domain.scale(self.params["a"], x)
         if k in ("power", "cross_power"):
-            m = int(self.params["m"])
+            m = self.params["m"]
             if isinstance(x, GaussPolyFn):
                 return x.pow(m) if not x.is_zero() else x
             self.domain.validate(x)

@@ -2,7 +2,7 @@
 
 Everything here is generic over a *space* object (see spaces.py) providing
 element arithmetic, a seminorm family addressed by ids, and samplers.  The
-checks are falsification harnesses: they certify behaviour on the sampled
+checks are falsification harnesses: they check behaviour on the sampled
 elements and report a counterexample on the first violation.
 """
 
@@ -158,7 +158,7 @@ def _vanishing_schedule(p: FSeminorm, space, x):
 
     Passes when the run is nonincreasing after the 5th step and the final
     value is below VANISH_TOL.  The schedule 2^-n, n = 1..40, is extended
-    (up to n = 400) while the trend is certified decreasing but the final
+    (up to n = 400) while the trend is nonincreasing so far but the final
     value has not yet reached the threshold: slowly decaying families
     (|t|^rho with small rho) need the longer run to reach it.
     """

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .differentiation import (
     continuity_verify,
-    default_t_schedule,
     verify_frechet,
     verify_gateaux,
 )
@@ -295,7 +294,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
             sched = None
             if "t_schedule" in params:
                 sched = [Fraction(str(t)) for t in params["t_schedule"]]
-            w = verify_gateaux(op, point, v, L, J, epsilon, sched or default_t_schedule(), seed=seed)
+            w = verify_gateaux(op, point, v, L, J, epsilon, sched, seed=seed)
             payload, passed = w.to_json(), w.passed
 
     wall = time.perf_counter() - t0

@@ -34,6 +34,17 @@ def frechet_entry(name="q2", candidate=None, epsilon=0.1):
     }
 
 
+def gateaux_entry():
+    return {
+        "name": "g3",
+        "kind": "gateaux",
+        "operator": {"kind": "power", "params": {"m": 3}, "domain": SIGMA_DESC, "codomain": SIGMA_DESC},
+        "point": {"prefix": [1], "tail": 0},
+        "direction": {"prefix": [1], "tail": 0},
+        "params": {"J": [1], "epsilon": 0.1},
+    }
+
+
 def write_config(tmp_path, config, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(config))
@@ -180,6 +191,31 @@ def test_exit_one_on_meaningless_verdict_config(tmp_path, capsys, kind, field, v
     assert main([kind, "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+
+@pytest.mark.parametrize("m", [2.5, True, "3"], ids=["fractional-m", "boolean-m", "string-m"])
+def test_exit_one_on_non_integer_power(tmp_path, capsys, m):
+    # int() would run x^2, the identity and x^3 while the report echoed m
+    entry = frechet_entry()
+    entry["operator"]["params"]["m"] = m
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["frechet", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config:") and repr(m) in err[0]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epsilon", 0), ("epsilon", -0.1), ("t_schedule", [])],
+    ids=["zero-epsilon", "negative-epsilon", "empty-schedule"],
+)
+def test_exit_one_on_meaningless_gateaux_config(tmp_path, capsys, field, value):
+    entry = gateaux_entry()
+    entry["params"][field] = value
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["gateaux", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config:") and field in err[0]
 
 
 def test_exit_one_on_unknown_suite_name(tmp_path, capsys):
