@@ -17,7 +17,6 @@ from .operators import (
     LinearMap,
     MultiplyBy,
     Operator,
-    ZeroMap,
     analytic_frechet,
     analytic_gateaux,
     bound_monomial,

@@ -29,9 +29,6 @@ from .operators import (
     LinearMap,
     MultiplyBy,
     Operator,
-    OperatorMap,
-    SumMap,
-    ZeroMap,
     analytic_frechet,
     linmap_add,
     linmap_scale,
@@ -115,16 +112,21 @@ class GateauxWitness:
         }
 
 
-def _residual(op: Operator, xbar, L: LinearMap | None):
-    """u -> T(xbar + u) - T(xbar) - L u from the Taylor expansion at xbar:
-    R(u), plus (L* - L) u for a candidate L.  No operator is applied and no
-    cancelling subtraction is made, so the result is exact on exact data
-    and 0 for a linear kind."""
-    expansion = op.taylor_remainder(xbar)
+def _residual(op: Operator, xbar, L):
+    """u -> T(xbar + u) - T(xbar) - L u, L = None meaning the analytic
+    derivative L*.  A linear kind gives T u - L u, exactly 0 when L is T.
+    Any other kind gives its Taylor remainder R(u), plus (L* - L) u for a
+    candidate L with L* - L one closed form; T is not applied near xbar and
+    no cancelling subtraction is made, so the result is exact on exact
+    data."""
+    cod = op.codomain
     if L is None:
-        return expansion
+        return op.taylor_remainder(xbar)
+    if op.is_linear:
+        return lambda u: cod.sub(op.apply(u), L.apply(u))
+    expansion = op.taylor_remainder(xbar)
     gap = linmap_add(expansion.derivative, linmap_scale(-1, L))
-    return lambda u: op.codomain.add(expansion(u), gap.apply(u))
+    return lambda u: cod.add(expansion(u), gap.apply(u))
 
 
 def _gateaux_quotient(op: Operator, residual, v, t, J: IndexSet) -> float:
@@ -137,21 +139,23 @@ def _gateaux_quotient(op: Operator, residual, v, t, J: IndexSet) -> float:
     return family_max(cod, cod.scale(_reciprocal(t), residual(op.domain.scale(t, v))), J)
 
 
-def gateaux_residual(op: Operator, xbar, v, L: LinearMap, t, J) -> float:
+def gateaux_residual(op: Operator, xbar, v, L, t, J) -> float:
     """max_q q((T(xbar + t v) - T(xbar) - t L v) / t) over q in J, with the
-    numerator R(tv) + (L* - L)(tv) in closed form (see _residual)."""
+    numerator in closed form (see _residual); L = None means the analytic
+    derivative."""
     return _gateaux_quotient(op, _residual(op, xbar, L), v, t, index_set(op.codomain, J))
 
 
-def verify_gateaux(op: Operator, xbar, v, L: LinearMap, J, epsilon: float, t_schedule=None, seed=None) -> GateauxWitness:
-    """Largest schedule-prefix delta with all residuals < epsilon, both signs.
+def verify_gateaux(op: Operator, xbar, v, L, J, epsilon: float, t_schedule=None, seed=None) -> GateauxWitness:
+    """Largest schedule-prefix delta with all residuals < epsilon, both signs,
+    for the candidate L; L = None means the analytic derivative.
 
     Passes when such a delta exists and the residual run is eventually
     nonincreasing (over the last half of the schedule, per sign).  The
     residual is prepared once from xbar and L and read at every t.  No
     t_schedule means :func:`default_t_schedule`; an empty one is refused.
     """
-    _check_epsilon(epsilon)
+    _check_positive("epsilon", epsilon)
     if t_schedule is None:
         t_schedule = default_t_schedule()
     elif not t_schedule:
@@ -335,8 +339,7 @@ def _resolve_delta(delta_source, recipe_fn, dom):
         I = index_set(dom, I)
         if not I.ids:
             raise ValueError("explicit delta_source needs a nonempty index set I")
-        if isinstance(delta, bool) or not isinstance(delta, (int, float, Fraction)) or not 0 < delta < math.inf:
-            raise ValueError(f"explicit delta must be a finite number > 0, got {delta!r}")
+        _check_positive("explicit delta", delta)
         return I, delta, "explicit", "explicit"
     if delta_source in ("auto", "constructive"):
         try:
@@ -363,17 +366,17 @@ def _neighbourhood(dom, I: IndexSet, delta: float, rng, count: int):
         yield u, c
 
 
-def _check_epsilon(epsilon):
-    """Refuse a verdict that could not mean anything: epsilon must be a
-    finite number > 0."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+def _check_positive(name, value):
+    """Refuse a verdict that could not mean anything: value must be a
+    finite number > 0, and a bool or a string is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
 def _check_budget(epsilon, n_samples):
-    """_check_epsilon, and n_samples must be an integer >= 1 (no samples
-    would make every verdict a vacuous pass)."""
-    _check_epsilon(epsilon)
+    """epsilon must be a finite number > 0 and n_samples an integer >= 1 (no
+    samples would make every verdict a vacuous pass)."""
+    _check_positive("epsilon", epsilon)
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
 
@@ -398,7 +401,7 @@ def verify_frechet(
     xbar,
     J,
     epsilon: float,
-    L: LinearMap | None = None,
+    L=None,
     delta_source: str = "auto",
     rng=None,
     n_samples: int = 500,
@@ -414,9 +417,9 @@ def verify_frechet(
 
     The residual T(xbar+u) - T(xbar) - L u is the operator's closed-form
     Taylor remainder (:meth:`Operator.taylor_remainder`, 0 for a linear
-    kind), plus (L* - L) u when a candidate L differs from the analytic
-    derivative L*; no operator is applied and no cancelling subtraction
-    rounds the ratio.
+    kind) when L is None; a candidate L adds (L* - L) u in one closed form,
+    or for a linear kind makes it T u - L u.  T is not applied near xbar
+    and no cancelling subtraction rounds the ratio.
     """
     _check_budget(epsilon, n_samples)
     rng = rng or random.Random(0)
@@ -642,20 +645,18 @@ def basis_independence_check(op: Operator, xbar, v, factor, J, epsilon: float, t
     )
 
 
-def _linmap_continuity_delta(L: LinearMap, dom, cod, J: IndexSet, epsilon: float):
+def _linmap_continuity_delta(L, dom, cod, J: IndexSet, epsilon: float):
     """(I, delta) making max_I p(u) < delta imply max_J q(L u) < epsilon."""
     eps = float(epsilon)
-    if isinstance(L, ZeroMap):
-        return _covering_index_set(dom, J), 0.5
-    if isinstance(L, SumMap):
-        parts = [_linmap_continuity_delta(p, dom, cod, J, eps / len(L.parts)) for p in L.parts]
-        I = parts[0][0]
-        for i2, _ in parts[1:]:
-            I = I.union(i2)
-        return I, min(d for _, d in parts)
-    if isinstance(L, (OperatorMap, MultiplyBy)):
-        op = L.op if isinstance(L, OperatorMap) else Operator("mult", {"g": L.g}, dom, cod)
-        return continuity_delta(op, dom.zero(), J, eps)[:2]
+    if isinstance(L, Operator):
+        return continuity_delta(L, dom.zero(), J, eps)[:2]
+    if isinstance(L, MultiplyBy):
+        cu, gu = IdentityScaled(L.c, cod), Operator("mult", {"g": L.g}, dom, cod)
+        if L.g.is_zero() or not L.c:
+            return _linmap_continuity_delta(cu if L.g.is_zero() else gu, dom, cod, J, eps)
+        # c u + g u: each term gets half of epsilon
+        (I1, d1), (I2, d2) = (_linmap_continuity_delta(m, dom, cod, J, eps / 2) for m in (cu, gu))
+        return I1.union(I2), min(d1, d2)
     if isinstance(L, IdentityScaled):
         return _covering_index_set(dom, J), min(0.999, eps / max(dom.scalar_factor(L.c), 1e-300))
     if isinstance(L, Diagonal):
@@ -665,7 +666,7 @@ def _linmap_continuity_delta(L: LinearMap, dom, cod, J: IndexSet, epsilon: float
             return I, min(0.999, eps / max(dmax**dom.rho, 1e-300))
         # into S: q(d u) <= max(1, |d|) q-ish bound via |u| <= |u|^rho < 1
         return I, min(0.999, eps / max(1.0, dmax))
-    raise NoRecipeError(f"no continuity delta for map {L.describe()}")
+    raise NoRecipeError(f"no continuity delta for map {L!r}")
 
 
 def frechet_implies_continuity_check(op: Operator, xbar, configs, rng=None, n_samples: int = 200) -> CheckReport:

@@ -6,18 +6,21 @@ TaylorExpansion.  Continuity, Gateaux and (DR) verdicts all read this one
 expansion, so none of them applies T near xbar.  The polynomial kinds
 (power, cross_power, poly) share one coefficient tuple (a_1, ..., a_m) with
 T x = sum_j a_j x^j; their expansion is one table of Taylor coefficients
-c_i at xbar, whose row 1 is L* (multiply-by-function on Schwartz space,
-diagonal on the sequence spaces).  Every other kind is linear, its own
-derivative, with remainder 0.  The module also evaluates the explicit
-seminorm bounds for products, monomial multiples and powers, and exhibits
-(family, C) continuity certificates for the linear catalogue entries; the
-product rule and the monomial rule are each stated once and shared by the
-bounds and the certificates.
+c_i at xbar, whose row 1 is L*.  Every other kind is linear, with remainder
+0, and is its own derivative, x -> c x as IdentityScaled(c).
+
+So a derivative or candidate is a linear Operator or a multiplier of its
+codomain in one of three closed forms: Diagonal on sigma_rho and S,
+MultiplyBy (u -> c u + g u) on Schwartz space, IdentityScaled on any space.
+linmap_add and linmap_scale keep the multipliers of a space closed.  The
+module also evaluates the explicit seminorm bounds for products, monomial
+multiples and powers, and exhibits (family, C) continuity certificates for
+the linear catalogue entries; the product rule and the monomial rule are
+each stated once and shared by the bounds and the certificates.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,13 +32,9 @@ from .spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace, space_from
 __all__ = [
     "Operator",
     "LinearMap",
-    "ZeroMap",
     "IdentityScaled",
     "Diagonal",
     "MultiplyBy",
-    "OperatorMap",
-    "SumMap",
-    "ComposeMap",
     "analytic_frechet",
     "analytic_gateaux",
     "linmap_add",
@@ -131,8 +130,9 @@ class Operator:
         remainder u -> T(xbar + u) - T(xbar) - L* u (a call) and its
         increment u -> T(xbar + u) - T(xbar).
 
-        A linear kind is its own derivative, with remainder the codomain
-        origin and increment T u.  With T x = sum_j a_j x^j the increment is
+        A linear kind has remainder the codomain origin and increment T u;
+        its derivative is IdentityScaled(c) for x -> c x and the operator
+        itself otherwise.  With T x = sum_j a_j x^j the increment is
         sum_{i>=1} c_i u^i, c_i = sum_{j>=i} a_j C(j, i) xbar^{j-i}, and the
         remainder its terms i >= 2, so no cancelling subtraction is made.
         Each sequence entry is one Horner pass, exact when both entries are
@@ -141,7 +141,7 @@ class Operator:
         """
         if self.is_linear:
             c = _scalar(self)
-            L = OperatorMap(self) if c is None else IdentityScaled(c, self.codomain)
+            L = self if c is None else IdentityScaled(c, self.codomain)
             return TaylorExpansion(L, lambda u: self.codomain.zero(), L.apply)
         a = self.coeffs
         if a is None:
@@ -198,7 +198,7 @@ class TaylorExpansion:
     increment(u) is the left side, read from u alone.  Calling the
     expansion gives the remainder."""
 
-    derivative: "LinearMap"
+    derivative: "LinearMap | Operator"
     remainder: object
     increment: object
 
@@ -246,6 +246,7 @@ def _sequence_expansion(a, xbar: SeqElement, cod):
 def _function_expansion(a, xbar: GaussPolyFn, cod):
     m = len(a)
     # c_i = a_i + g_i; the constant a_i is not in the class, so it scales u^i
+    # and L* = MultiplyBy(g_1, c=a_1)
     g = {}
     for i in range(1, m + 1):
         g[i] = GaussPolyFn.zero(xbar.n)
@@ -266,10 +267,7 @@ def _function_expansion(a, xbar: GaussPolyFn, cod):
 
         return at
 
-    derivative = IdentityScaled(a[0], cod) if a[0] else ZeroMap(cod)
-    if not g[1].is_zero():
-        derivative = linmap_add(derivative, MultiplyBy(g[1], cod))
-    return TaylorExpansion(derivative, series(2), series(1))
+    return TaylorExpansion(MultiplyBy(g[1], cod, a[0]), series(2), series(1))
 
 
 # ---------------------------------------------------------------------------
@@ -277,38 +275,18 @@ def _function_expansion(a, xbar: GaussPolyFn, cod):
 
 
 class LinearMap:
-    codomain = None
-
-    def apply(self, u):
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return type(self).__name__
-
-
-@dataclass(frozen=True)
-class ZeroMap(LinearMap):
-    codomain: object
-
-    def apply(self, u):
-        return self.codomain.zero()
-
-    def describe(self):
-        return "zero"
+    """A multiplier of its codomain: IdentityScaled, Diagonal or MultiplyBy."""
 
 
 @dataclass(frozen=True)
 class IdentityScaled(LinearMap):
+    """u -> c u; c = 0 is the zero map."""
+
     c: object
     codomain: object = None
 
     def apply(self, u):
-        if self.c == 1:
-            return u
-        return u.scale(self.c)
-
-    def describe(self):
-        return f"identity_scaled({self.c})"
+        return u if self.c == 1 else u.scale(self.c)
 
 
 @dataclass(frozen=True)
@@ -329,105 +307,54 @@ class Diagonal(LinearMap):
     def entry(self, k: int):
         return self.prefix[k - 1] if k <= len(self.prefix) else self.tail
 
-    def describe(self):
-        return f"diagonal({list(self.prefix)}, tail={self.tail})"
-
 
 @dataclass(frozen=True)
 class MultiplyBy(LinearMap):
+    """u -> c u + g u; the constant c is not in the function class, so it is
+    held apart from g."""
+
     g: GaussPolyFn
     codomain: object = None
+    c: object = 0
 
     def apply(self, u: GaussPolyFn) -> GaussPolyFn:
-        return self.g.mul(u)
-
-    def describe(self):
-        return "multiply_by(...)"
-
-
-@dataclass(frozen=True)
-class OperatorMap(LinearMap):
-    """A linear catalogue operator used directly as a map."""
-
-    op: Operator
-
-    def __post_init__(self):
-        if not self.op.is_linear:
-            raise ValueError(f"{self.op.kind} is not a linear kind")
-
-    @property
-    def codomain(self):
-        return self.op.codomain
-
-    def apply(self, u):
-        return self.op.apply(u)
-
-    def describe(self):
-        return f"op({self.op.describe()})"
+        if not self.c:
+            return self.g.mul(u)
+        cu = IdentityScaled(self.c).apply(u)
+        return cu if self.g.is_zero() else cu.add(self.g.mul(u))
 
 
-@dataclass(frozen=True)
-class SumMap(LinearMap):
-    parts: tuple
-
-    @property
-    def codomain(self):
-        return self.parts[0].codomain
-
-    def apply(self, u):
-        return functools.reduce(lambda acc, v: acc.add(v), [p.apply(u) for p in self.parts])
-
-    def describe(self):
-        return " + ".join(p.describe() for p in self.parts)
-
-
-@dataclass(frozen=True)
-class ComposeMap(LinearMap):
-    outer: LinearMap
-    inner: LinearMap
-
-    @property
-    def codomain(self):
-        return self.outer.codomain
-
-    def apply(self, u):
-        return self.outer.apply(self.inner.apply(u))
-
-    def describe(self):
-        return f"({self.outer.describe()}) o ({self.inner.describe()})"
+def _plus_scalar(m: LinearMap, c, cod) -> LinearMap:
+    """m + c id on cod, in the form of m."""
+    if isinstance(m, IdentityScaled):
+        return IdentityScaled(m.c + c, cod)
+    if isinstance(m, Diagonal):
+        return Diagonal(tuple(d + c for d in m.prefix), m.tail + c, cod)
+    return MultiplyBy(m.g, cod, m.c + c)
 
 
 def linmap_add(a: LinearMap, b: LinearMap) -> LinearMap:
-    if isinstance(a, ZeroMap):
-        return b
-    if isinstance(b, ZeroMap):
-        return a
+    """a + b for two multipliers of one space, in their closed form."""
+    cod = a.codomain or b.codomain
+    if isinstance(a, IdentityScaled):
+        return _plus_scalar(b, a.c, cod)
+    if isinstance(b, IdentityScaled):
+        return _plus_scalar(a, b.c, cod)
     if isinstance(a, Diagonal) and isinstance(b, Diagonal):
         n = max(len(a.prefix), len(b.prefix))
-        pref = tuple(a.entry(i) + b.entry(i) for i in range(1, n + 1))
-        return Diagonal(pref, a.tail + b.tail, a.codomain or b.codomain)
+        return Diagonal(tuple(a.entry(i) + b.entry(i) for i in range(1, n + 1)), a.tail + b.tail, cod)
     if isinstance(a, MultiplyBy) and isinstance(b, MultiplyBy):
-        return MultiplyBy(a.g.add(b.g), a.codomain or b.codomain)
-    if isinstance(a, IdentityScaled) and isinstance(b, IdentityScaled):
-        return IdentityScaled(a.c + b.c, a.codomain or b.codomain)
-    parts = (a.parts if isinstance(a, SumMap) else (a,)) + (b.parts if isinstance(b, SumMap) else (b,))
-    return SumMap(parts)
+        return MultiplyBy(a.g.add(b.g), cod, a.c + b.c)
+    raise TypeError(f"{a!r} and {b!r} are not multipliers of one space")
 
 
 def linmap_scale(c, m: LinearMap) -> LinearMap:
-    if c == 0:
-        return ZeroMap(m.codomain)
-    if isinstance(m, ZeroMap):
-        return m
-    if isinstance(m, Diagonal):
-        return Diagonal(tuple(c * d for d in m.prefix), c * m.tail, m.codomain)
-    if isinstance(m, MultiplyBy):
-        return MultiplyBy(m.g.scale(c), m.codomain)
+    """c m, in the form of the multiplier m."""
     if isinstance(m, IdentityScaled):
         return IdentityScaled(c * m.c, m.codomain)
-    if isinstance(m, SumMap):
-        return SumMap(tuple(linmap_scale(c, p) for p in m.parts))
-    return ComposeMap(IdentityScaled(c, m.codomain), m)
+    if isinstance(m, Diagonal):
+        return Diagonal(tuple(c * d for d in m.prefix), c * m.tail, m.codomain)
+    return MultiplyBy(m.g.scale(c), m.codomain, c * m.c)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +370,11 @@ def _scalar(op: Operator):
     return 1 if op.kind == "identity" else None
 
 
-def analytic_frechet(op: Operator, xbar) -> LinearMap:
+def analytic_frechet(op: Operator, xbar) -> "LinearMap | Operator":
     """Closed-form derivative at a base point, read from the expansion that
-    the verdicts read: the operator itself for a linear kind, row 1 of the
-    Taylor table, x -> sum_j j a_j xbar^{j-1} x, for T x = sum_j a_j x^j."""
+    the verdicts read: IdentityScaled(c) for x -> c x, the operator itself
+    for any other linear kind, row 1 of the Taylor table,
+    x -> sum_j j a_j xbar^{j-1} x, for T x = sum_j a_j x^j."""
     return op.taylor_remainder(xbar).derivative
 
 

@@ -162,6 +162,8 @@ def test_exit_one_on_bad_delta_source(tmp_path, capsys, source):
     [
         ("epsilon", 0),
         ("epsilon", -1),
+        ("epsilon", True),
+        ("epsilon", "0.1"),
         ("n_samples", 0),
         ("n_samples", -5),
         ("n_samples", 2.9),
@@ -172,6 +174,8 @@ def test_exit_one_on_bad_delta_source(tmp_path, capsys, source):
     ids=[
         "zero-epsilon",
         "negative-epsilon",
+        "boolean-epsilon",
+        "string-epsilon",
         "zero-samples",
         "negative-samples",
         "fractional-samples",
@@ -206,8 +210,8 @@ def test_exit_one_on_non_integer_power(tmp_path, capsys, m):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("epsilon", 0), ("epsilon", -0.1), ("t_schedule", [])],
-    ids=["zero-epsilon", "negative-epsilon", "empty-schedule"],
+    [("epsilon", 0), ("epsilon", -0.1), ("epsilon", True), ("epsilon", "0.1"), ("t_schedule", [])],
+    ids=["zero-epsilon", "negative-epsilon", "boolean-epsilon", "string-epsilon", "empty-schedule"],
 )
 def test_exit_one_on_meaningless_gateaux_config(tmp_path, capsys, field, value):
     entry = gateaux_entry()
@@ -216,6 +220,26 @@ def test_exit_one_on_meaningless_gateaux_config(tmp_path, capsys, field, value):
     assert main(["gateaux", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad config:") and field in err[0]
+
+
+@pytest.mark.parametrize(
+    "space, candidate",
+    [
+        ({"space": "schwartz", "n": 1}, {"form": "diagonal", "prefix": [2], "tail": 0}),
+        (SIGMA_DESC, {"form": "multiply_by", "g": fsemcalc.GaussPolyFn.gaussian((1,)).to_json()}),
+    ],
+    ids=["diagonal-on-schwartz", "multiply-by-on-sigma"],
+)
+def test_exit_one_on_a_candidate_that_does_not_fit_its_codomain(tmp_path, capsys, space, candidate):
+    entry = frechet_entry(candidate=candidate)
+    entry["operator"].update(domain=space, codomain=space)
+    if space["space"] == "schwartz":
+        entry["point"] = fsemcalc.GaussPolyFn.gaussian((1,)).to_json()
+        entry["params"]["J"] = [[[0], [0]]]
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["frechet", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config:") and candidate["form"] in err[0]
 
 
 def test_exit_one_on_unknown_suite_name(tmp_path, capsys):

@@ -30,9 +30,9 @@ from fsemcalc.differentiation import (
 from fsemcalc.gausspoly import GaussPolyFn
 from fsemcalc.operators import (
     Diagonal,
+    IdentityScaled,
     MultiplyBy,
     Operator,
-    ZeroMap,
     analytic_frechet,
     linmap_add,
 )
@@ -96,7 +96,7 @@ def test_verify_gateaux_power_schwartz():
 
 
 def test_verify_gateaux_wrong_candidate_fails():
-    w = verify_gateaux(P2, GAUSS, XGAUSS, ZeroMap(SCH), [((0,), (0,))], 0.1)
+    w = verify_gateaux(P2, GAUSS, XGAUSS, IdentityScaled(0, SCH), [((0,), (0,))], 0.1)
     assert not w.passed
     # the residual tends to |2 f v|, not 0
     tail = [r for t, r in w.schedule if abs(t) <= Fraction(1, 10**6)]
@@ -342,6 +342,20 @@ def test_verify_frechet_wrong_candidate_fails_on_s_and_schwartz():
     assert verify_frechet(P2, GAUSS, J, 0.1, L=right, rng=random.Random(5), n_samples=60).passed
 
 
+def test_wrong_candidate_on_a_linear_kind_fails_both_verdicts():
+    # the residual is T u - L u, exactly 0 for L = T
+    fourier = Operator("fourier", {}, SCH, SCH)
+    J = [((0,), (0,))]
+    wrong = MultiplyBy(GAUSS, SCH)
+    assert not verify_gateaux(fourier, GAUSS, XGAUSS, wrong, J, 0.1).passed
+    w = verify_frechet(fourier, GAUSS, J, 0.1, L=wrong, rng=random.Random(5), n_samples=20)
+    assert not w.passed and max(r for _, _, r in w.dr_samples) > 0.1
+    g = verify_gateaux(fourier, GAUSS, XGAUSS, fourier, J, 0.1)
+    assert g.passed and all(r == 0 for _, r in g.schedule)
+    w = verify_frechet(fourier, GAUSS, J, 0.1, L=fourier, rng=random.Random(5), n_samples=20)
+    assert w.passed and all(r == 0 for _, _, r in w.dr_samples)
+
+
 def test_verify_frechet_power4_two_term_point_no_overflow():
     # here the difference T(xbar+u) - T(xbar) - L u carries cancellation
     # noise whose critical points reach |x| ~ 3.5e22, where evaluating |f|
@@ -567,7 +581,7 @@ def test_uniqueness_probe():
     assert not r.passed
     assert r.details["max_gap"] == pytest.approx(1.0)  # |2-3|^{1/2}
     m = MultiplyBy(GAUSS.scale(2), SCH)
-    m2 = linmap_add(MultiplyBy(GAUSS.scale(2), SCH), ZeroMap(SCH))
+    m2 = linmap_add(MultiplyBy(GAUSS.scale(2), SCH), IdentityScaled(0, SCH))
     r = uniqueness_probe(SCH, m, m2, [((0,), (0,))], [XGAUSS])
     assert r.passed
 

@@ -7,14 +7,10 @@ import pytest
 from fsemcalc.differentiation import gateaux_residual
 from fsemcalc.gausspoly import GaussPolyFn
 from fsemcalc.operators import (
-    ComposeMap,
     Diagonal,
     IdentityScaled,
     MultiplyBy,
     Operator,
-    OperatorMap,
-    SumMap,
-    ZeroMap,
     analytic_frechet,
     analytic_gateaux,
     bound_monomial,
@@ -84,7 +80,7 @@ def test_frechet_power_schwartz():
 
 def test_frechet_power_schwartz_origin_is_zero_map():
     L = analytic_frechet(op("power", {"m": 2}, SCH), GaussPolyFn.zero(1))
-    assert isinstance(L, ZeroMap)
+    assert L.apply(GAUSS).is_zero()
     assert L.apply(XGAUSS).is_zero()
     # distinct from the m = 1 identity
     L1 = analytic_frechet(op("power", {"m": 1}, SCH), GaussPolyFn.zero(1))
@@ -105,12 +101,24 @@ def test_frechet_power_s_tail():
 def test_frechet_linear_kinds_are_themselves():
     d = Operator("diff", {"gamma": (1,)}, SCH, SCH)
     L = analytic_frechet(d, GAUSS)
-    assert isinstance(L, OperatorMap)
+    assert L.apply(GAUSS) == GAUSS.diff((1,))
     assert L.apply(XGAUSS) == XGAUSS.diff((1,))
     f = Operator("fourier", {}, SCH, SCH)
     assert analytic_frechet(f, GAUSS).apply(XGAUSS).approx_eq(XGAUSS.fourier(), 0)
     m = op("scale", {"a": 3})
     assert analytic_frechet(m, SeqElement([1])).apply(SeqElement([2])) == SeqElement([6])
+
+
+def test_frechet_of_a_non_scalar_linear_kind_is_the_operator():
+    for kind, params in [
+        ("diff", {"gamma": (1,)}),
+        ("mult", {"g": GAUSS}),
+        ("monomial", {"lam": (2,)}),
+        ("fourier", {}),
+        ("inv_fourier", {}),
+    ]:
+        o = Operator(kind, params, SCH, SCH)
+        assert analytic_frechet(o, XGAUSS) is o
 
 
 def test_frechet_poly_sequences():
@@ -292,15 +300,35 @@ def test_linmap_add_scale_compose():
     assert isinstance(s, Diagonal) and s.prefix == (9, 3) and s.tail == 1
     m = linmap_scale(2, MultiplyBy(GAUSS))
     assert m.apply(XGAUSS) == GAUSS.mul(XGAUSS).scale(2)
-    c = linmap_scale(2, OperatorMap(op("diff", {"gamma": (1,)}, SCH)))  # no closed form: composed
-    assert isinstance(c, ComposeMap) and c.apply(GAUSS) == GAUSS.diff((1,)).scale(2)
-    z = linmap_add(ZeroMap(SIGMA), d1)
-    assert z is d1
+    z = linmap_add(IdentityScaled(0, SIGMA), d1)
+    assert isinstance(z, Diagonal) and z.prefix == d1.prefix and z.tail == d1.tail
 
 
 def test_summap_applies():
-    s = SumMap((IdentityScaled(2), Diagonal((1,))))
-    assert s.apply(SeqElement([3, 4])) == SeqElement([9, 8])
+    # a sum of maps: the IdentityScaled is absorbed into every entry and the tail
+    s = linmap_add(IdentityScaled(2), Diagonal((1,)))
+    assert isinstance(s, Diagonal) and s.apply(SeqElement([3, 4])) == SeqElement([9, 8])
+
+
+def _multipliers():
+    """(space, the multiplier forms on it) with exact data."""
+    for space in (SIGMA, S):
+        yield space, [Diagonal((3, Fraction(1, 2)), 2, space), Diagonal((-1,), 0, space), IdentityScaled(Fraction(5, 2), space)]
+    yield SCH, [MultiplyBy(GAUSS, SCH), MultiplyBy(XGAUSS.scale(3), SCH, Fraction(-1, 3)), IdentityScaled(2, SCH)]
+
+
+def test_multipliers_are_closed_under_add_and_scale():
+    rng = random.Random(19)
+    for space, forms in _multipliers():
+        us = [space.random_element(rng, exact=True) for _ in range(5)]
+        for a in forms:
+            for b in forms:
+                d = linmap_add(a, linmap_scale(-1, b))
+                kinds = {type(a), type(b)}
+                want = next((k for k in (Diagonal, MultiplyBy) if k in kinds), IdentityScaled)
+                assert type(d) is want and d.codomain is space, (a, b, d)
+                for u in us:
+                    assert d.apply(u) == space.sub(a.apply(u), b.apply(u))
 
 
 # -- explicit bounds -----------------------------------------------------------
