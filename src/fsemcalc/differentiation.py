@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import multiindex as mi
-from .gausspoly import _is_exact
+from .gausspoly import _is_exact, _is_number
 from .operators import (
     Diagonal,
     IdentityScaled,
@@ -298,15 +298,15 @@ def delta_constructor(op: Operator, xbar, J, epsilon: float):
     raise NoRecipeError(f"no constructive delta for kind {op.kind!r}")
 
 
-def _kernel_samples(dom, I: IndexSet, rng, count: int = 20):
-    """Elements with max_I p(u) = 0: support disjoint from I for the
+def _kernel_samples(dom, I: IndexSet, rng):
+    """Elements with max_I p(u) = 0: 20 with support disjoint from I for the
     sequence spaces; only the origin on Schwartz space (sup-seminorm there
     separates everything once (0,0) is in I)."""
     if isinstance(dom, SchwartzSpace):
         return [dom.zero()]
     m = max(int(k) for k in I.ids)
     out = []
-    for _ in range(count):
+    for _ in range(20):
         lead = [0] * m
         extra = [rng.uniform(-3, 3) for _ in range(rng.randint(1, 3))]
         tail = 0
@@ -369,7 +369,7 @@ def _neighbourhood(dom, I: IndexSet, delta: float, rng, count: int):
 def _check_positive(name, value):
     """Refuse a verdict that could not mean anything: value must be a
     finite number > 0, and a bool or a string is no number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)) or not 0 < value < math.inf:
+    if not _is_number(value) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
@@ -627,13 +627,13 @@ class RescaledFamily:
         return getattr(self._base, name)
 
 
-def basis_independence_check(op: Operator, xbar, v, factor, J, epsilon: float, t_schedule=None) -> CheckReport:
+def basis_independence_check(op: Operator, xbar, v, factor, J, epsilon: float) -> CheckReport:
     """verify_gateaux must pass with the same candidate under the original
     codomain family and under a rescaled one."""
     L = analytic_frechet(op, xbar)
-    w1 = verify_gateaux(op, xbar, v, L, J, epsilon, t_schedule)
+    w1 = verify_gateaux(op, xbar, v, L, J, epsilon)
     rescaled = Operator(op.kind, op.params, op.domain, RescaledFamily(op.codomain, factor))
-    w2 = verify_gateaux(rescaled, xbar, v, L, J, epsilon, t_schedule)
+    w2 = verify_gateaux(rescaled, xbar, v, L, J, epsilon)
     passed = w1.passed and w2.passed
     return CheckReport(
         "basis_independence",

@@ -8,7 +8,8 @@ makes exact seminorm evaluation possible downstream.
 
 Coefficients are kept as exact rationals (Fraction/int) as long as every
 input is rational; irrational constants (sqrt(pi), Fourier phases) switch the
-affected coefficients to float/complex.  Suprema are computed in float at
+affected coefficients to float/complex.  The algebra is exact in any
+dimension n; evaluation and suprema are n = 1 only, computed in float at
 the critical points of each decay group, plus a guard grid when there are
 several groups; see :meth:`GaussPolyFn.sup_abs`.
 """
@@ -38,6 +39,11 @@ def _is_exact(c) -> bool:
 
 def _inexact(c):
     return float(c) if type(c) is Fraction else c
+
+
+def _is_number(v) -> bool:
+    """v is an int, float or Fraction; a bool or a string is no number."""
+    return not isinstance(v, bool) and isinstance(v, (int, float, Fraction))
 
 
 # _cadd and _cmul: exact (a Fraction, also for int with int) when
@@ -142,16 +148,6 @@ class SparsePoly:
             e2[i] -= 1
             out[tuple(e2)] = _cmul(e[i], c)
         return SparsePoly(self.n, out)
-
-    def eval(self, x):
-        acc = 0
-        for e, c in self.terms.items():
-            v = _inexact(c)
-            for xi, ei in zip(x, e):
-                if ei:
-                    v = v * xi**ei
-            acc = acc + v
-        return acc
 
     def degree(self, i: int) -> int:
         return max((e[i] for e in self.terms), default=0)
@@ -385,15 +381,10 @@ class GaussPolyFn:
     # -- analysis -----------------------------------------------------------
 
     def eval(self, x) -> complex:
-        if len(x) != self.n:
-            raise ValueError("dimension mismatch")
-        if self.n == 1:
-            return self._eval1(float(x[0]))
-        acc = 0j
-        for t in self.terms:
-            expo = -sum(float(a) * xi * xi for a, xi in zip(t.decay, x))
-            acc += complex(t.poly.eval(x)) * math.exp(expo)
-        return acc
+        if self.n != 1:
+            raise NotImplementedError("eval: n = 1 only")
+        (x0,) = x
+        return self._eval1(float(x0))
 
     def _eval1(self, x: float) -> complex:
         out_re = 0.0
@@ -432,9 +423,9 @@ class GaussPolyFn:
         return tuple((a, tuple(v / top for v in re), tuple(v / top for v in im)) for a, re, im in rows)
 
     def sup_abs(self) -> float:
-        """sup over R^n of |f|.
+        """sup over R of |f| (n = 1 only).
 
-        n = 1: |f| is evaluated at the critical points of each decay
+        |f| is evaluated at the critical points of each decay
         group's term f_k (real roots of one polynomial per group, refined by
         bisection; see :func:`_critical_points`) and at 0.  That is the
         whole computation for one group.  With several groups, cross terms
@@ -447,34 +438,12 @@ class GaussPolyFn:
         f divided by its largest coefficient and are memoized on it
         (:func:`_unit_candidates`), so the value depends on f alone, not on
         which suprema ran before.
-        n >= 2: adaptive tensor grid, an estimate (:meth:`_sup_abs_grid`).
         """
+        if self.n != 1:
+            raise NotImplementedError("sup_abs: n = 1 only")
         if self.is_zero():
             return 0.0
-        if self.n == 1:
-            return max(abs(self._eval1(x)) for x in _unit_candidates(self._norm_key()))
-        return self._sup_abs_grid()
-
-    def _sup_abs_grid(self) -> float:
-        amin = min(min(float(a) for a in t.decay) for t in self.terms)
-        dmax = max(max((mi.order(e) for e in t.poly.terms), default=0) for t in self.terms)
-        r = max(2.0, math.sqrt((dmax + 4.0) / (2.0 * amin))) * 2.5
-        lo = [-r] * self.n
-        hi = [r] * self.n
-        best, bx = 0.0, [0.0] * self.n
-        pts_per_axis = 17 if self.n == 2 else 9
-        for _ in range(8):
-            axes = [np.linspace(lo[i], hi[i], pts_per_axis) for i in range(self.n)]
-            grids = np.meshgrid(*axes, indexing="ij")
-            flat = np.stack([g.ravel() for g in grids], axis=-1)
-            vals = [abs(self.eval(tuple(p))) for p in flat]
-            k = int(np.argmax(vals))
-            if vals[k] > best:
-                best, bx = vals[k], list(flat[k])
-            span = [(hi[i] - lo[i]) / (pts_per_axis - 1) for i in range(self.n)]
-            lo = [bx[i] - 2 * span[i] for i in range(self.n)]
-            hi = [bx[i] + 2 * span[i] for i in range(self.n)]
-        return best
+        return max(abs(self._eval1(x)) for x in _unit_candidates(self._norm_key()))
 
     def signed_range(self):
         """(inf, sup) of the real part over R (n = 1, real coefficients).

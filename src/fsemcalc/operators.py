@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import multiindex as mi
-from .gausspoly import GaussPolyFn, _cmul, _is_exact
+from .gausspoly import GaussPolyFn, _cmul, _is_exact, _is_number
 from .seminorms import CheckReport, index_set
 from .spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace, space_from_json
 
@@ -71,8 +71,11 @@ class Operator:
             m = self.params.get("m")
             if type(m) is not int or m < 1:
                 raise ValueError(f"{k} requires an integer m >= 1, got {m!r}")
-        if k == "poly" and not self.params.get("coeffs"):
-            raise ValueError("poly requires a nonempty coefficient list (a_1..a_m)")
+        if k == "scale" and not _is_number(self.params.get("a")):
+            raise ValueError(f"scale requires a number a, got {self.params.get('a')!r}")
+        coeffs = self.params.get("coeffs")
+        if k == "poly" and not (coeffs and all(map(_is_number, coeffs))):
+            raise ValueError(f"poly requires a nonempty list of numbers (a_1..a_m), got {coeffs!r}")
 
     @property
     def coeffs(self):
@@ -389,8 +392,9 @@ def analytic_gateaux(op: Operator, xbar, v):
 # explicit seminorm bounds
 
 
-def _as_mi(v, n):
-    return mi.check(v if not isinstance(v, int) else (v,) * n)
+def _as_mi(v):
+    """A multi-index; an int k is (k,), as seminorms are taken at n = 1."""
+    return mi.check((v,) if isinstance(v, int) else v)
 
 
 def _product_rule(g: GaussPolyFn, alpha, beta):
@@ -426,14 +430,14 @@ def _rule_bound(rule, f: GaussPolyFn) -> float:
 def bound_product(g: GaussPolyFn, f: GaussPolyFn, alpha, beta):
     """(lhs, rhs) with lhs = |g f|_{alpha,beta} and rhs the product-rule
     binomial bound sum_k binom(beta,k) |g|_{0,beta-k} |f|_{alpha,k}."""
-    alpha, beta = _as_mi(alpha, g.n), _as_mi(beta, g.n)
+    alpha, beta = _as_mi(alpha), _as_mi(beta)
     return g.mul(f).seminorm(alpha, beta), _rule_bound(_product_rule(g, alpha, beta), f)
 
 
 def bound_monomial(f: GaussPolyFn, lam, alpha, beta):
     """(lhs, rhs) for |x^lam f|_{alpha,beta} against the shifted-seminorm
     bound with falling-factorial coefficients."""
-    lam, alpha, beta = _as_mi(lam, f.n), _as_mi(alpha, f.n), _as_mi(beta, f.n)
+    lam, alpha, beta = _as_mi(lam), _as_mi(alpha), _as_mi(beta)
     return f.monomial_mul(lam).seminorm(alpha, beta), _rule_bound(_monomial_rule(lam, alpha, beta), f)
 
 
@@ -443,13 +447,12 @@ def bound_power(u: GaussPolyFn, m: int, alpha, beta):
     over gamma <= beta."""
     if m < 1:
         raise ValueError("m >= 1 required")
-    n = u.n
-    alpha, beta = _as_mi(alpha, n), _as_mi(beta, n)
+    alpha, beta = _as_mi(alpha), _as_mi(beta)
     if u.is_zero():
         return 0.0, 0.0
     lhs = u.pow(m).seminorm(alpha, beta)
     m_alpha = max(u.seminorm(alpha, g) for g in mi.downward_closure(beta))
-    m_zero = max(u.seminorm(mi.zero(n), g) for g in mi.downward_closure(beta))
+    m_zero = max(u.seminorm((0,), g) for g in mi.downward_closure(beta))
     rhs = 2.0 ** (m * mi.order(beta)) * m_alpha * m_zero ** (m - 1)
     return lhs, rhs
 
@@ -484,7 +487,6 @@ def seminorm_bound(op: Operator, q_sid):
     if c is not None:
         return [sid], dom.scalar_factor(c)
     # the remaining linear kinds are Schwartz-only (Operator checks this)
-    n = dom.n
     alpha, beta = sid
     if k == "diff":
         gamma = mi.check(op.params["gamma"])
@@ -494,8 +496,6 @@ def seminorm_bound(op: Operator, q_sid):
     if k == "monomial":
         return _family(_monomial_rule(mi.check(op.params["lam"]), alpha, beta))
     if k in ("fourier", "inv_fourier"):
-        if n != 1:
-            raise NotImplementedError("fourier bound: n = 1 only")
         a, b = alpha[0], beta[0]
         # |xi^a D^b Ff| <= (2 pi)^{b-a} int |D^a(t^b f)| dt and the
         # integral is <= pi (|h|_{0,0} + |h|_{2,0}) for h = D^a(t^b f);

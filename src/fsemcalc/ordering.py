@@ -72,11 +72,12 @@ class OrderRelation:
         return self.leq(x, y) and not self.cone.space.is_zero(self.cone.space.sub(y, x))
 
 
-def is_credit_point(op: Operator, xbar, directions, tol: float = 1e-12, J=None) -> CheckReport:
-    """The Gateaux derivative along every supplied direction must vanish,
-    measured through the configured codomain seminorms."""
+def is_credit_point(op: Operator, xbar, directions) -> CheckReport:
+    """The Gateaux derivative along every supplied direction must vanish
+    (to 1e-12), measured through the codomain's first three seminorms."""
+    tol = 1e-12
     cod = op.codomain
-    J = J if J is not None else index_set(cod, cod.enum_ids(3))
+    J = index_set(cod, cod.enum_ids(3))
     for v in directions:
         if op.domain.is_zero(v):
             raise ValueError("direction must be nonzero")

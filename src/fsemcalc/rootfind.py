@@ -178,14 +178,14 @@ def real_roots(coeffs):
     return real_roots_many([coeffs])[0]
 
 
-def ternary_max(fn, lo: float, hi: float, xtol: float = 1e-12) -> float:
-    """Argmax of a unimodal fn on [lo, hi] by golden-section search."""
+def ternary_max(fn, lo: float, hi: float) -> float:
+    """Argmax of a unimodal fn on [lo, hi] by golden-section search, to 1e-12 relative."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > xtol * (1.0 + abs(a) + abs(b)):
+    while b - a > 1e-12 * (1.0 + abs(a) + abs(b)):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -232,12 +232,12 @@ def axiom_report(space, p, *, rng=None, n_samples: int = 100) -> CheckReport:
     return CheckReport("axioms", True, None, n_samples, VANISH_TOL, details={"sid": str(p.sid)})
 
 
-def nbhd_algebra_check(space, *, rng=None, n_samples: int = 200, id_pool: int = 6) -> CheckReport:
-    """Neighborhood-basis algebra on samples: monotone in the radius,
-    antitone in the index set, U_{I u K} = U_I n U_K, and additivity
-    U_{I,l1} + U_{I,l2} inside U_{I,l1+l2}."""
+def nbhd_algebra_check(space, *, rng=None, n_samples: int = 200) -> CheckReport:
+    """Neighborhood-basis algebra on samples over the first six seminorms:
+    monotone in the radius, antitone in the index set, U_{I u K} = U_I n U_K,
+    and additivity U_{I,l1} + U_{I,l2} inside U_{I,l1+l2}."""
     rng = rng or random.Random(0)
-    ids = space.enum_ids(id_pool)
+    ids = space.enum_ids(6)
 
     def rand_I():
         k = rng.randint(1, min(3, len(ids)))

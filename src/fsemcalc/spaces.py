@@ -1,6 +1,6 @@
 """The three concrete spaces and their seminorm families.
 
-* Schwartz space (n = 1 exact): elements are GaussPolyFn, seminorms
+* Schwartz space on R (n = 1): elements are GaussPolyFn, seminorms
   ``|f|_{alpha,beta} = sup |x^alpha D^beta f|`` (a genuine seminorm family,
   homogeneous).
 * sigma_rho (0 < rho < 1): finitely supported real sequences, F-seminorms
@@ -16,11 +16,11 @@ arithmetic whenever the inputs are exact.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from . import multiindex as mi
 from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _json_num
+from .seminorms import f_norm
 
 __all__ = [
     "SeqElement",
@@ -207,8 +207,6 @@ class SigmaRhoSpace(_SequenceSpaceBase):
         k = self.normalize_sid(sid)
         return float(abs(x.entry(k))) ** self.rho
 
-    fnorm_base = seminorm
-
     def scalar_factor(self, c) -> float:
         """K with p(c x) <= K p(x) for every p in the family: |c|^rho."""
         return abs(float(c)) ** self.rho
@@ -229,8 +227,8 @@ class SigmaRhoSpace(_SequenceSpaceBase):
         self.validate(x)
         return max((float(abs(v)) for v in x.prefix), default=0.0)
 
-    def random_element(self, rng, max_support: int = 6, exact: bool = False) -> SeqElement:
-        k = rng.randint(0, max_support)
+    def random_element(self, rng, exact: bool = False) -> SeqElement:
+        k = rng.randint(0, 6)
         if exact:
             vals = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 4])) for _ in range(k)]
         else:
@@ -268,33 +266,22 @@ class SSpace(_SequenceSpaceBase):
         return target * (1.0 - c) / ((1.0 - target) * c)
 
     def fnorm_base(self, sid, x: SeqElement) -> float:
-        # the F-norm construction wraps |t_k| itself; the wrap of the raw
-        # magnitude IS this family's F-seminorm, so f_norm here agrees with
-        # the translation-invariant metric against the origin
+        # the F-norm construction wraps |t_k| itself, and that wrap IS this
+        # family's F-seminorm; the metric is the F-norm of the difference
         return float(abs(x.entry(self.normalize_sid(sid))))
 
     def metric(self, x: SeqElement, y: SeqElement) -> float:
-        """d(x, y) = sum 2^-n |t_n - s_n| / (1 + |t_n - s_n|), closed tail.
+        """d(x, y) = sum 2^-n |t_n - s_n| / (1 + |t_n - s_n|), closed tail:
+        the F-norm of x - y.
 
         Evaluated on the canonical difference element: the geometric tail is
         grouped at the trimmed prefix length, so translated pairs produce
         bitwise-identical values on exact entries.
         """
-        d = x.sub(y)
-        acc = 0.0
-        for i, v in enumerate(d.prefix, start=1):
-            t = float(abs(v))
-            acc += 0.5**i * t / (1.0 + t)
-        n = d.support_len()
-        dt = float(abs(d.tail))
-        acc += 0.5**n * dt / (1.0 + dt)
-        return acc
+        return f_norm(self, x.sub(y))
 
-    def fnorm(self, x: SeqElement) -> float:
-        return self.metric(x, SeqElement.zero())
-
-    def random_element(self, rng, max_support: int = 6, exact: bool = False) -> SeqElement:
-        k = rng.randint(0, max_support)
+    def random_element(self, rng, exact: bool = False) -> SeqElement:
+        k = rng.randint(0, 6)
         if exact:
             vals = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 4])) for _ in range(k)]
             tail = rng.choice([0, 0, Fraction(rng.randint(-4, 4), 2)])
@@ -305,13 +292,13 @@ class SSpace(_SequenceSpaceBase):
 
 
 class SchwartzSpace(_SpaceBase):
-    """Schwartz space over the Gaussian-polynomial class (exact for n = 1)."""
+    """Schwartz space on R (n = 1) over the Gaussian-polynomial class."""
 
     has_weights = False
 
     def __init__(self, n: int = 1):
-        if n < 1:
-            raise ValueError("dimension must be >= 1")
+        if type(n) is not int or n != 1:
+            raise ValueError(f"Schwartz space is 1-dimensional, got n = {n!r}")
         self.n = n
 
     @property
@@ -349,23 +336,22 @@ class SchwartzSpace(_SpaceBase):
         below the largest value taken so far, it and every later member are
         skipped.
 
-        Why the margin suffices.  Let u = 2^-53, d the total degree of h, G
-        its decay groups and M its monomials.  Wherever ``sup_abs`` evaluates
-        h, the float |h| is within (4d + G + 8) u B of the exact value:
-        Horner's rule costs gamma_{2d} of sum |c| |x|^k e^{-a x^2} <= B
-        (Higham, Accuracy and Stability of Numerical Algorithms, 5.1); the
-        rounded exponent -a x x moves e^{-a x^2} by a relative 1.01 gamma_2
-        a x^2, and a x^2 |x|^k e^{-a x^2} <= ((k + 2) / 2) (k / (2 a e))^(k/2);
-        the exponential, the product, the sum over the groups and |.| add
-        G + 4 more roundings.  The n >= 2 grid sums M monomials of n powers
-        where n = 1 uses Horner, at most M + 2n more.  The float B is at most
-        (M + 2d + 3n + 3) u B below the exact one: each base j / (2 a e) is
-        off by 3u, which its power j / 2 multiplies.  So while
-        (6d + 3M + 5n + 20) u <= 1e-12, that is 6d + 3M + 5n <= 8,900, a
-        skipped member's float supremum is below its B (1 + 1e-12), hence
-        below the running maximum, and cannot be the maximum.  The
-        functions of the schwartz-frechet benchmark and the seed-42
-        catalogue have d <= 17 and M <= 83.  Each supremum taken is
+        Why the margin suffices.  Let u = 2^-53, d the degree of h, G its
+        decay groups and M its monomials, so G <= M.  Wherever ``sup_abs``
+        evaluates h, the float |h| is within (4d + G + 8) u B of the exact
+        value: Horner's rule costs gamma_{2d} of
+        sum |c| |x|^k e^{-a x^2} <= B (Higham, Accuracy and Stability of
+        Numerical Algorithms, 5.1); the rounded exponent -a x x moves
+        e^{-a x^2} by a relative 1.01 gamma_2 a x^2, and
+        a x^2 |x|^k e^{-a x^2} <= ((k + 2) / 2) (k / (2 a e))^(k/2); the
+        exponential, the product, the sum over the groups and |.| add G + 4
+        more roundings.  The float B is at most (M + 2d + 6) u B below the
+        exact one: each base j / (2 a e) is off by 3u, which its power j / 2
+        multiplies.  So while (6d + 2M + 14) u <= 1e-12, which holds for
+        6d + 2M <= 8,900, a skipped member's float supremum is below its
+        B (1 + 1e-12), hence below the running maximum, and cannot be the
+        maximum.  The functions of the schwartz-frechet benchmark and the
+        seed-42 catalogue have d <= 17 and M <= 83.  Each supremum taken is
         ``sup_abs`` of the same h.
         """
         members = []
@@ -393,13 +379,7 @@ class SchwartzSpace(_SpaceBase):
         out = []
         total = 0
         while len(out) < count:
-            block = []
-            for asum in range(total + 1):
-                bsum = total - asum
-                alphas = [a for a in itertools.product(range(asum + 1), repeat=self.n) if sum(a) == asum]
-                betas = [b for b in itertools.product(range(bsum + 1), repeat=self.n) if sum(b) == bsum]
-                block.extend((a, b) for a in alphas for b in betas)
-            out.extend(sorted(block))
+            out.extend(((a,), (total - a,)) for a in range(total + 1))
             total += 1
         return out[:count]
 
@@ -407,7 +387,10 @@ class SchwartzSpace(_SpaceBase):
         raise ValueError("no weights configured for the Schwartz family")
 
     def element_from_json(self, doc):
-        return GaussPolyFn.from_json(doc)
+        f = GaussPolyFn.from_json(doc)
+        if f.n != self.n:
+            raise ValueError(f"a function of dimension {f.n} is not in the Schwartz space of dimension {self.n}")
+        return f
 
     def support_ids(self, f):
         return [(mi.zero(self.n), mi.zero(self.n))]
@@ -415,18 +398,18 @@ class SchwartzSpace(_SpaceBase):
     def random_element(self, rng, max_degree: int = 4, max_terms: int = 2, exact: bool = True) -> GaussPolyFn:
         terms = []
         for _ in range(rng.randint(1, max_terms)):
-            decay = tuple(rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)]) for _ in range(self.n))
+            decay = (rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)]),)
             poly = {}
             for _ in range(rng.randint(1, 3)):
-                exp = tuple(rng.randint(0, max_degree) for _ in range(self.n))
+                exp = (rng.randint(0, max_degree),)
                 c = Fraction(rng.randint(-6, 6), rng.choice([1, 2])) if exact else rng.uniform(-3, 3)
                 if c:
                     poly[exp] = c
             if poly:
-                terms.append(GaussPolyTerm(SparsePoly(self.n, poly), decay))
-        f = GaussPolyFn(self.n, terms)
+                terms.append(GaussPolyTerm(SparsePoly(1, poly), decay))
+        f = GaussPolyFn(1, terms)
         if f.is_zero():
-            return GaussPolyFn.gaussian((Fraction(1),) * self.n)
+            return GaussPolyFn.gaussian((Fraction(1),))
         return f
 
     def random_direction(self, rng) -> GaussPolyFn:
@@ -436,7 +419,7 @@ class SchwartzSpace(_SpaceBase):
 def space_from_json(doc: dict):
     kind = doc["space"]
     if kind == "schwartz":
-        return SchwartzSpace(int(doc.get("n", 1)))
+        return SchwartzSpace(doc.get("n", 1))
     if kind == "sigma_rho":
         return SigmaRhoSpace(doc["rho"])
     if kind == "s":
@@ -467,15 +450,14 @@ def sigma_inclusion_check(x: SeqElement, rho: float, gamma: float) -> dict:
     }
 
 
-def scaling_property_check(x: SeqElement, a: float, max_index: int | None = None) -> dict:
+def scaling_property_check(x: SeqElement, a: float) -> dict:
     """S-seminorm scaling: |a| < 1 gives |ax|_k >= |a||x|_k; |a| >= 1 gives
     |ax|_k <= |a||x|_k.  Verified at every prefix index plus the tail."""
     s = SSpace()
     ax = x.scale(a)
-    idx = range(1, (max_index or x.support_len() + 1) + 1)
     slack = 1e-12
     failures = []
-    for k in idx:
+    for k in range(1, x.support_len() + 2):
         lhs = s.seminorm(k, ax)
         rhs = abs(float(a)) * s.seminorm(k, x)
         ok = (lhs + slack >= rhs) if abs(float(a)) < 1 else (lhs <= rhs + slack)

@@ -22,7 +22,7 @@ from .differentiation import (
     verify_frechet,
     verify_gateaux,
 )
-from .gausspoly import GaussPolyFn, leibniz_summands
+from .gausspoly import GaussPolyFn, _is_number, leibniz_summands
 from .operators import (
     Diagonal,
     IdentityScaled,
@@ -53,6 +53,13 @@ def derive_seed(base: int, name: str) -> int:
     return (int(base) ^ zlib.crc32(name.encode("utf-8"))) & 0x7FFFFFFF
 
 
+def _candidate_number(v):
+    """An exact string such as "1/2" as a Fraction, a number as itself."""
+    if not (isinstance(v, str) or _is_number(v)):
+        raise ValueError(f"candidate entry {v!r} is not a number")
+    return Fraction(v) if isinstance(v, str) else v
+
+
 def linmap_from_json(space_cod, doc):
     """A candidate map on space_cod: diagonal on the sequence spaces,
     multiply_by on Schwartz space, identity_scaled or zero on any."""
@@ -60,12 +67,10 @@ def linmap_from_json(space_cod, doc):
     if form in ("diagonal", "multiply_by") and (form == "multiply_by") != isinstance(space_cod, SchwartzSpace):
         raise ValueError(f"a {form!r} candidate does not fit the codomain {space_cod.tag}")
     if form == "diagonal":
-        def num(v):
-            return Fraction(v) if isinstance(v, str) else v
-
-        return Diagonal(tuple(num(v) for v in doc.get("prefix", [])), num(doc.get("tail", 0)), space_cod)
+        prefix = tuple(map(_candidate_number, doc.get("prefix", [])))
+        return Diagonal(prefix, _candidate_number(doc.get("tail", 0)), space_cod)
     if form == "identity_scaled":
-        return IdentityScaled(doc.get("c", 1), space_cod)
+        return IdentityScaled(_candidate_number(doc.get("c", 1)), space_cod)
     if form == "multiply_by":
         return MultiplyBy(GaussPolyFn.from_json(doc["g"]), space_cod)
     if form == "zero":
@@ -73,8 +78,14 @@ def linmap_from_json(space_cod, doc):
     raise ValueError(f"unknown linear map form {form!r}")
 
 
-def _sid_list(raw):
-    return [tuple(s) if isinstance(s, list) else s for s in raw]
+def _sid_list(raw, field):
+    """params[field] as seminorm ids: JSON integers, or (Schwartz space)
+    lists of them and of such lists, each list made a tuple."""
+    def sid(s):
+        if type(s) is not int and not isinstance(s, list):
+            raise ValueError(f"{field}: seminorm id entry {s!r} is not a JSON integer")
+        return tuple(map(sid, s)) if isinstance(s, list) else s
+    return [sid(s) for s in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +247,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
         passed = report.passed
     elif kind == "axioms":
         space = space_from_json(entry["space"])
-        sids = _sid_list(params.get("ids") or [space.enum_ids(1)[0]])
+        sids = _sid_list(params.get("ids") or [], "ids") or space.enum_ids(1)
         n = params.get("n_samples", 200)
         per = max(1, n // len(sids))
         reports = [axiom_report(space, sid, rng=rng, n_samples=per) for sid in sids]
@@ -260,7 +271,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
     else:
         op = Operator.from_json(entry["operator"])
         point = op.domain.element_from_json(entry["point"])
-        J = index_set(op.codomain, _sid_list(params["J"]))
+        J = index_set(op.codomain, _sid_list(params["J"], "J"))
         epsilon = params.get("epsilon", 0.1)
         candidate = None
         if "candidate" in params:
@@ -352,15 +363,12 @@ def run_config(config: dict, seed_override=None, name_filter=None, kind_filter=N
 # built-in catalogue: the closed-form regression cases
 
 
-def _sigma_desc(rho=0.5):
-    return {"space": "sigma_rho", "rho": rho}
-
-
 def _op(kind, params, dom, cod=None):
     return {"kind": kind, "params": params, "domain": dom, "codomain": cod or dom}
 
 
 def builtin_catalogue_config() -> dict:
+    sig_desc = {"space": "sigma_rho", "rho": 0.5}
     s_desc = {"space": "s"}
     sch_desc = {"space": "schwartz", "n": 1}
     gauss = GaussPolyFn.gaussian((Fraction(1),))
@@ -369,7 +377,7 @@ def builtin_catalogue_config() -> dict:
         {
             "name": "axioms-sigma-half",
             "kind": "axioms",
-            "space": _sigma_desc(),
+            "space": sig_desc,
             "params": {"ids": [1, 2, 3], "n_samples": 120},
         },
         {
@@ -387,7 +395,7 @@ def builtin_catalogue_config() -> dict:
         {
             "name": "frechet-square-sigma",
             "kind": "frechet",
-            "operator": _op("power", {"m": 2}, _sigma_desc()),
+            "operator": _op("power", {"m": 2}, sig_desc),
             "point": {"prefix": [1], "tail": 0},
             "params": {"J": [1], "epsilon": 0.1, "n_samples": 200},
         },
@@ -401,7 +409,7 @@ def builtin_catalogue_config() -> dict:
         {
             "name": "frechet-cross-square",
             "kind": "frechet",
-            "operator": _op("cross_power", {"m": 2}, _sigma_desc(), s_desc),
+            "operator": _op("cross_power", {"m": 2}, sig_desc, s_desc),
             "point": {"prefix": [1], "tail": 0},
             "params": {"J": [1], "epsilon": 0.1, "n_samples": 200},
         },
@@ -422,7 +430,7 @@ def builtin_catalogue_config() -> dict:
         {
             "name": "continuity-square-sigma",
             "kind": "continuity",
-            "operator": _op("power", {"m": 2}, _sigma_desc()),
+            "operator": _op("power", {"m": 2}, sig_desc),
             "point": {"prefix": [1], "tail": 0},
             "params": {"J": [1], "epsilon": 0.1, "n_samples": 200},
         },
@@ -436,7 +444,7 @@ def builtin_catalogue_config() -> dict:
         {
             "name": "continuity-identity-sigma",
             "kind": "continuity",
-            "operator": _op("identity", {}, _sigma_desc()),
+            "operator": _op("identity", {}, sig_desc),
             "point": {"prefix": [1], "tail": 0},
             "params": {"J": [1, 2], "epsilon": 0.1, "n_samples": 120},
         },
@@ -451,7 +459,7 @@ def builtin_catalogue_config() -> dict:
         {
             "name": "gateaux-cube-sigma",
             "kind": "gateaux",
-            "operator": _op("power", {"m": 3}, _sigma_desc()),
+            "operator": _op("power", {"m": 3}, sig_desc),
             "point": {"prefix": [1], "tail": 0},
             "direction": {"prefix": [1], "tail": 0},
             "params": {"J": [1], "epsilon": 0.1},

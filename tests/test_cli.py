@@ -170,6 +170,11 @@ def test_exit_one_on_bad_delta_source(tmp_path, capsys, source):
         ("n_samples", True),
         ("point", [1, 2]),
         ("point", 3),
+        ("J", [1.7]),
+        ("J", [True]),
+        ("J", ["1"]),
+        ("candidate", {"form": "identity_scaled", "c": True}),
+        ("candidate", {"form": "diagonal", "prefix": [True], "tail": 0}),
     ],
     ids=[
         "zero-epsilon",
@@ -182,6 +187,11 @@ def test_exit_one_on_bad_delta_source(tmp_path, capsys, source):
         "boolean-samples",
         "list-point",
         "number-point",
+        "fractional-J",
+        "boolean-J",
+        "string-J",
+        "boolean-scalar-candidate",
+        "boolean-diagonal-candidate",
     ],
 )
 def test_exit_one_on_meaningless_verdict_config(tmp_path, capsys, kind, field, value):
@@ -197,15 +207,76 @@ def test_exit_one_on_meaningless_verdict_config(tmp_path, capsys, kind, field, v
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
 
 
-@pytest.mark.parametrize("m", [2.5, True, "3"], ids=["fractional-m", "boolean-m", "string-m"])
-def test_exit_one_on_non_integer_power(tmp_path, capsys, m):
-    # int() would run x^2, the identity and x^3 while the report echoed m
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [("power", "m", 2.5), ("power", "m", True), ("power", "m", "3"), ("scale", "a", "2"), ("poly", "coeffs", [True, 1])],
+    ids=["fractional-m", "boolean-m", "string-m", "string-scale", "boolean-coefficient"],
+)
+def test_exit_one_on_non_integer_power(tmp_path, capsys, kind, field, value):
+    # int() would run x^2, the identity and x^3 while the report echoed m;
+    # a string a would repeat every entry, and true would run as a_1 = 1
     entry = frechet_entry()
-    entry["operator"]["params"]["m"] = m
+    entry["operator"].update(kind=kind, params={field: value})
     cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
     assert main(["frechet", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: bad config:") and repr(m) in err[0]
+    assert len(err) == 1 and err[0].startswith("error: bad config:") and repr(value) in err[0]
+
+
+def test_identity_scaled_candidate_reads_an_exact_string(tmp_path):
+    # "1/2" is the rational 1/2, the derivative of x -> x/2
+    entry = frechet_entry(candidate={"form": "identity_scaled", "c": "1/2"})
+    entry["operator"].update(kind="scale", params={"a": 0.5})
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["frechet", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+
+
+SCHWARTZ_DESC = {"space": "schwartz", "n": 1}
+
+
+@pytest.mark.parametrize(
+    "space, ids",
+    [
+        ({"space": "schwartz", "n": 2}, None),
+        ({"space": "schwartz", "n": "1"}, None),
+        ({"space": "schwartz", "n": 1.5}, None),
+        ({"space": "schwartz", "n": True}, None),
+        (SIGMA_DESC, [1.7]),
+        (SIGMA_DESC, [True]),
+        (SIGMA_DESC, ["1"]),
+        (SCHWARTZ_DESC, [[[0.5], [0]]]),
+    ],
+    ids=["n2", "string-n", "fractional-n", "boolean-n", "fractional-id", "boolean-id", "string-id", "fractional-multi-index"],
+)
+def test_exit_one_on_meaningless_axioms_config(tmp_path, capsys, space, ids):
+    # the Schwartz space is 1-dimensional, and a seminorm id is a JSON
+    # integer: each of these ran before, as n = 2 or as int(...) of the value
+    entry = {"name": "ax", "kind": "axioms", "space": space, "params": {"n_samples": 4}}
+    if ids is not None:
+        entry["params"]["ids"] = ids
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["axioms", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config:")
+
+
+@pytest.mark.parametrize("field", ["point", "directions"])
+def test_exit_one_on_a_function_of_another_dimension(tmp_path, capsys, field):
+    gauss1 = fsemcalc.GaussPolyFn.gaussian((1,)).to_json()
+    gauss2 = fsemcalc.GaussPolyFn.gaussian((1, 1)).to_json()
+    entry = {
+        "name": "square-max",
+        "kind": "order",
+        "operator": {"kind": "power", "params": {"m": 2}, "domain": SCHWARTZ_DESC, "codomain": SCHWARTZ_DESC},
+        "point": gauss1,
+        "claim": "max",
+        "directions": [gauss1],
+    }
+    entry[field] = gauss2 if field == "point" else [gauss2]
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["order", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config:") and "dimension 2" in err[0]
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,7 @@ def test_f_norm_s_geometric_tail():
     x = SeqElement([3], tail=1)
     assert abs(f_norm(S, x) - 5 / 8) < 1e-15
     # agrees with the translation-invariant metric against the origin
-    assert abs(f_norm(S, x) - S.fnorm(x)) < 1e-15
+    assert abs(f_norm(S, x) - S.metric(x, SeqElement.zero())) < 1e-15
 
 
 def test_f_norm_requires_weights():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsemcalc.gausspoly import GaussPolyFn
-from fsemcalc.seminorms import family_max
+from fsemcalc.seminorms import f_norm, family_max
 from fsemcalc.spaces import (
     SchwartzSpace,
     SeqElement,
@@ -161,7 +162,7 @@ def test_s_seminorm_examples():
 
 def test_s_fnorm_and_metric():
     x = SeqElement([3], tail=1)
-    assert abs(S.fnorm(x) - 5 / 8) < 1e-15
+    assert abs(f_norm(S, x) - 5 / 8) < 1e-15
     assert S.metric(x, x) == 0.0
 
 
@@ -270,9 +271,29 @@ def test_schwartz_enum_order():
     assert orders == sorted(orders)
 
 
+def test_schwartz_enum_ids_keep_the_product_order():
+    # the rule enum_ids had for every dimension n, taken at n = 1
+    n, want, total = 1, [], 0
+    while len(want) < 28:
+        block = []
+        for asum in range(total + 1):
+            bsum = total - asum
+            alphas = [a for a in itertools.product(range(asum + 1), repeat=n) if sum(a) == asum]
+            betas = [b for b in itertools.product(range(bsum + 1), repeat=n) if sum(b) == bsum]
+            block.extend((a, b) for a in alphas for b in betas)
+        want.extend(sorted(block))
+        total += 1
+    assert SCH.enum_ids(28) == want[:28]
+
+
 def test_space_from_json():
     assert space_from_json({"space": "sigma_rho", "rho": 0.5}).tag == "sigma_rho"
     assert space_from_json({"space": "s"}).tag == "s"
     assert space_from_json({"space": "schwartz", "n": 1}).tag == "schwartz"
     with pytest.raises(ValueError):
         space_from_json({"space": "banach"})
+    # a Schwartz space of another dimension, or an n that is not the
+    # integer 1, is refused rather than read as int(n)
+    for n in (2, "1", 1.5, True):
+        with pytest.raises(ValueError):
+            space_from_json({"space": "schwartz", "n": n})
