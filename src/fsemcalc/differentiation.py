@@ -419,7 +419,9 @@ def verify_frechet(
     Taylor remainder (:meth:`Operator.taylor_remainder`, 0 for a linear
     kind) when L is None; a candidate L adds (L* - L) u in one closed form,
     or for a linear kind makes it T u - L u.  T is not applied near xbar
-    and no cancelling subtraction rounds the ratio.
+    and no cancelling subtraction rounds the ratio.  The residual is read
+    at u restricted to what the seminorms of J read (``dom.restrict``); the
+    witness keeps u whole.
     """
     _check_budget(epsilon, n_samples)
     rng = rng or random.Random(0)
@@ -429,8 +431,11 @@ def verify_frechet(
     residual = _residual(op, xbar, L)
 
     def batch(I, delta):
-        dz = [(u, family_max(cod, residual(u), J)) for u in _kernel_samples(dom, I, rng)]
-        dr = [(u, c, dr_ratio(cod, residual(u), c, J)) for u, c in _neighbourhood(dom, I, delta, rng, n_samples)]
+        dz = [(u, family_max(cod, residual(dom.restrict(u, J)), J)) for u in _kernel_samples(dom, I, rng)]
+        dr = [
+            (u, c, dr_ratio(cod, residual(dom.restrict(u, J)), c, J))
+            for u, c in _neighbourhood(dom, I, delta, rng, n_samples)
+        ]
         passed = all(r <= EXACT_ZERO_TOL for _, r in dz) and all(r < epsilon for _, _, r in dr)
         return passed, (dz, dr)
 
@@ -448,18 +453,20 @@ class ContinuityWitness:
     epsilon: float
     I: IndexSet
     delta: float
-    samples: list  # (x0 + u, image residual at u)
+    x0: object
+    samples: list  # (u, image residual at u)
     recipe: str
     passed: bool
     seed: int | None = None
 
     def to_json(self, space=None) -> dict:
+        # the point x = x0 + u is formed for the stored samples only
         stored = [
             {
-                "x": (space.element_to_json(x) if space is not None else None),
+                "x": (space.element_to_json(space.add(self.x0, u)) if space is not None else None),
                 "image_residual": float(r),
             }
-            for x, r in self.samples[:MAX_STORED_SAMPLES]
+            for u, r in self.samples[:MAX_STORED_SAMPLES]
         ]
         return {
             "kind": "continuity",
@@ -513,9 +520,10 @@ def continuity_verify(
 ) -> ContinuityWitness:
     """Sample u with 0 < max_I p(u) < delta and check the image condition
     max_J q(T(x0 + u) - T(x0)) < epsilon, with the increment read at u from
-    the expansion that Gateaux and (DR) read: no operator is applied, and a
-    float x0 + u, which may round back onto x0, is formed only as the
-    witness's x."""
+    the expansion that Gateaux and (DR) read, at u restricted to what the
+    seminorms of J read (``dom.restrict``): no operator is applied.  The
+    witness keeps u, and forms the float x0 + u, which may round back onto
+    x0, only as the x of a stored sample."""
     _check_budget(epsilon, n_samples)
     rng = rng or random.Random(0)
     dom, cod = op.domain, op.codomain
@@ -524,11 +532,13 @@ def continuity_verify(
     increment = op.taylor_remainder(x0).increment
 
     def batch(I, delta):
-        samples = [(dom.add(x0, u), family_max(cod, increment(u), J)) for u, _ in _neighbourhood(dom, I, delta, rng, n_samples)]
+        samples = [
+            (u, family_max(cod, increment(dom.restrict(u, J)), J)) for u, _ in _neighbourhood(dom, I, delta, rng, n_samples)
+        ]
         return all(r < epsilon for _, r in samples), samples
 
     I, delta, passed, samples = _sampled_verdict(dom, J, I, delta, batch)
-    return ContinuityWitness(J, float(epsilon), I, delta, samples, recipe, passed, seed)
+    return ContinuityWitness(J, float(epsilon), I, delta, x0, samples, recipe, passed, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +632,9 @@ class RescaledFamily:
 
     def seminorm(self, sid, x):
         return self._factor(self._base.normalize_sid(sid)) * self._base.seminorm(sid, x)
+
+    def family_max(self, x, ids):
+        return max(self.seminorm(s, x) for s in ids)
 
     def __getattr__(self, name):
         return getattr(self._base, name)

@@ -49,8 +49,11 @@ def _is_number(v) -> bool:
 # _cadd and _cmul: exact (a Fraction, also for int with int) when
 # both operands are exact, else float/complex.  A Fraction operand is used
 # as it is, and goes on the left, where Fraction's fast path takes an int.
+# Two floats, the common case of sampled data, are tested for first.
 def _cadd(a, b):
     ta, tb = type(a), type(b)
+    if ta is float and tb is float:
+        return a + b
     if ta is Fraction:
         if tb is Fraction or tb is int:
             return a + b
@@ -64,6 +67,8 @@ def _cadd(a, b):
 
 def _cmul(a, b):
     ta, tb = type(a), type(b)
+    if ta is float and tb is float:
+        return a * b
     if ta is Fraction:
         if tb is Fraction or tb is int:
             return a * b
@@ -78,6 +83,18 @@ def _cmul(a, b):
 def _json_num(v):
     """An exact value as its string ("1/3"), anything else as a float."""
     return str(Fraction(v)) if _is_exact(v) else float(v)
+
+
+def _exact_from_json(s: str) -> Fraction:
+    """An exact JSON string ("1/3", "2.5") as a Fraction, refused when it is
+    too large for a float, as the config loader refuses such a JSON number:
+    every seminorm reads the value as a float."""
+    v = Fraction(s)
+    try:
+        float(v)
+    except OverflowError:
+        raise ValueError(f"exact number {s!r} is too large for a float") from None
+    return v
 
 
 def _creal(c):
@@ -480,9 +497,15 @@ class GaussPolyFn:
     @classmethod
     def from_json(cls, doc: dict) -> "GaussPolyFn":
         def num(v):
-            return Fraction(v) if isinstance(v, str) else float(v)
+            return _exact_from_json(v) if isinstance(v, str) else float(v)
 
-        n = int(doc["n"])
+        def integer(v, what):
+            # int() would run n = 1.9 as 1 and x^1.5 as x
+            if type(v) is not int:
+                raise ValueError(f"a function's {what} must be a JSON integer, got {v!r}")
+            return v
+
+        n = integer(doc["n"], "n")
         terms = []
         for t in doc["terms"]:
             decay = tuple(num(a) for a in t["decay"])
@@ -494,7 +517,7 @@ class GaussPolyFn:
                     c = re
                 else:
                     c = complex(float(re), float(im))
-                poly[tuple(int(e) for e in m["exp"])] = c
+                poly[tuple(integer(e, "exponent") for e in m["exp"])] = c
             terms.append(GaussPolyTerm(SparsePoly(n, poly), decay))
         return cls(n, terms)
 

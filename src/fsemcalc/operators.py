@@ -235,9 +235,12 @@ def _sequence_expansion(a, xbar: SeqElement, cod):
 
         def at(u: SeqElement) -> SeqElement:
             up = u.prefix
+            # with u's tail 0, each later entry is the series at 0, +-0,
+            # which SeqElement would trim
+            n = len(up) if u.tail == 0 else max(len(prefix), len(up))
             vals = [
                 _series_entry(prefix[k] if k < len(prefix) else tail, up[k] if k < len(up) else u.tail, first)
-                for k in range(max(len(prefix), len(up)))
+                for k in range(n)
             ]
             return SeqElement(vals, _series_entry(tail, u.tail, first))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import multiindex as mi
-from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _json_num
+from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _exact_from_json, _json_num
 from .seminorms import f_norm
 
 __all__ = [
@@ -114,7 +114,7 @@ class SeqElement:
     @classmethod
     def from_json(cls, doc: dict) -> "SeqElement":
         def num(v):
-            return Fraction(v) if isinstance(v, str) else v
+            return _exact_from_json(v) if isinstance(v, str) else v
 
         return cls([num(v) for v in doc.get("prefix", [])], num(doc.get("tail", 0)))
 
@@ -140,9 +140,9 @@ class _SpaceBase:
     def element_to_json(self, x):
         return x.to_json()
 
-    def family_max(self, x, ids) -> float:
-        """max over the normalized ids of the seminorm at x."""
-        return max(self.seminorm(s, x) for s in ids)
+    def restrict(self, x, J):
+        """x as far as the seminorms of J read it: x itself."""
+        return x
 
 
 class _SequenceSpaceBase(_SpaceBase):
@@ -173,6 +173,33 @@ class _SequenceSpaceBase(_SpaceBase):
         a nonzero element always lives here (prefix plus one tail index)."""
         return list(range(1, x.support_len() + 2))
 
+    def family_max(self, x: SeqElement, ids) -> float:
+        """max over the normalized ids k of phi(|t_k|), in one pass that reads
+        each t_k from the prefix or the tail: the same floats, compared in
+        the same order, as ``max(self.seminorm(k, x) for k in ids)``."""
+        self.validate(x)
+        prefix, tail, phi = x.prefix, x.tail, self._phi
+        n = len(prefix)
+        best = None
+        for k in ids:
+            v = phi(float(abs(prefix[k - 1] if k <= n else tail)))
+            if best is None or v > best:
+                best = v
+        return best
+
+    def restrict(self, x: SeqElement, J) -> SeqElement:
+        """x as far as the seminorms of J read it: its entries up to max J,
+        then 0.0.  Every map on these spaces is entrywise, so its image at
+        the restriction has the same J-seminorms as its image at x.  The
+        tail is 0.0, not x's: trimming then turns only entries of value 0
+        into the tail, whose images have seminorm 0.0 in any type, where an
+        exact entry equal to a float tail would become that float; and a
+        float tail keeps the image's tail out of exact arithmetic."""
+        m = max(J)
+        if x.tail == 0 and len(x.prefix) <= m:
+            return x
+        return SeqElement((x.prefix + (x.tail,) * m)[:m], 0.0)
+
     def p_sup_prefix(self, x: SeqElement, m: int) -> float:
         return max((float(abs(x.entry(k))) for k in range(1, m + 1)), default=0.0)
 
@@ -185,7 +212,7 @@ class SigmaRhoSpace(_SequenceSpaceBase):
     """sigma_rho: finite-support sequences, |x|_{rho,k} = |t_k|^rho."""
 
     def __init__(self, rho):
-        rho = Fraction(rho) if isinstance(rho, str) else rho
+        rho = _exact_from_json(rho) if isinstance(rho, str) else rho
         if not (0 < float(rho) < 1):
             raise ValueError(f"rho must satisfy 0 < rho < 1, got {rho}")
         self.rho = float(rho)
@@ -202,10 +229,12 @@ class SigmaRhoSpace(_SequenceSpaceBase):
             raise ValueError("sigma_rho elements must have tail 0 (finite support)")
         return x
 
+    def _phi(self, t: float) -> float:
+        return t**self.rho
+
     def seminorm(self, sid, x: SeqElement) -> float:
         self.validate(x)
-        k = self.normalize_sid(sid)
-        return float(abs(x.entry(k))) ** self.rho
+        return self._phi(float(abs(x.entry(self.normalize_sid(sid)))))
 
     def scalar_factor(self, c) -> float:
         """K with p(c x) <= K p(x) for every p in the family: |c|^rho."""
@@ -249,10 +278,11 @@ class SSpace(_SequenceSpaceBase):
     def validate(self, x: SeqElement):
         return x
 
-    def seminorm(self, sid, x: SeqElement) -> float:
-        k = self.normalize_sid(sid)
-        t = float(abs(x.entry(k)))
+    def _phi(self, t: float) -> float:
         return t / (1.0 + t)
+
+    def seminorm(self, sid, x: SeqElement) -> float:
+        return self._phi(float(abs(x.entry(self.normalize_sid(sid)))))
 
     def scalar_factor(self, c) -> float:
         """K with p(c x) <= K p(x) for every p in the family: max(1, |c|)."""

@@ -22,7 +22,7 @@ from .differentiation import (
     verify_frechet,
     verify_gateaux,
 )
-from .gausspoly import GaussPolyFn, _is_number, leibniz_summands
+from .gausspoly import GaussPolyFn, _exact_from_json, _is_number, leibniz_summands
 from .operators import (
     Diagonal,
     IdentityScaled,
@@ -54,10 +54,11 @@ def derive_seed(base: int, name: str) -> int:
 
 
 def _candidate_number(v):
-    """An exact string such as "1/2" as a Fraction, a number as itself."""
+    """An exact string such as "1/2" as a Fraction (refused when too large
+    for a float), a number as itself."""
     if not (isinstance(v, str) or _is_number(v)):
         raise ValueError(f"candidate entry {v!r} is not a number")
-    return Fraction(v) if isinstance(v, str) else v
+    return _exact_from_json(v) if isinstance(v, str) else v
 
 
 def linmap_from_json(space_cod, doc):

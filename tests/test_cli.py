@@ -260,6 +260,63 @@ def test_exit_one_on_meaningless_axioms_config(tmp_path, capsys, space, ids):
     assert len(err) == 1 and err[0].startswith("error: bad config:")
 
 
+def _schwartz_frechet_entry(n=1, exp=1, coefficient="1"):
+    point = {"n": n, "terms": [{"decay": ["1"], "poly": [{"exp": [exp], "re": coefficient, "im": "0"}]}]}
+    return {
+        "name": "square-schwartz",
+        "kind": "frechet",
+        "operator": {"kind": "power", "params": {"m": 2}, "domain": SCHWARTZ_DESC, "codomain": SCHWARTZ_DESC},
+        "point": point,
+        "params": {"J": [[[0], [0]]], "epsilon": 0.1, "n_samples": 5},
+    }
+
+
+def _with_sigma_point_entry(value):
+    entry = frechet_entry()
+    entry["point"] = {"prefix": [1, value], "tail": 0}
+    return entry
+
+
+def _with_rho(rho):
+    entry = frechet_entry()
+    entry["operator"]["domain"] = entry["operator"]["codomain"] = {"space": "sigma_rho", "rho": rho}
+    return entry
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        (_schwartz_frechet_entry(n=1.9), 1.9),
+        (_schwartz_frechet_entry(n=True), True),
+        (_schwartz_frechet_entry(exp=1.5), 1.5),
+        (_schwartz_frechet_entry(exp=True), True),
+        (_schwartz_frechet_entry(coefficient="1e999"), "1e999"),
+        (_with_sigma_point_entry("1e999"), "1e999"),
+        (_with_rho("1e999"), "1e999"),
+        (frechet_entry(candidate={"form": "identity_scaled", "c": "1e999"}), "1e999"),
+        (frechet_entry(candidate={"form": "diagonal", "prefix": ["-1e999"], "tail": 0}), "-1e999"),
+    ],
+    ids=[
+        "fractional-function-n",
+        "boolean-function-n",
+        "fractional-exponent",
+        "boolean-exponent",
+        "huge-coefficient",
+        "huge-sigma-point-entry",
+        "huge-rho",
+        "huge-scalar-candidate",
+        "huge-diagonal-candidate",
+    ],
+)
+def test_exit_one_on_a_number_that_would_not_run_as_written(tmp_path, capsys, entry, value):
+    # int() ran n = 1.9 as 1 and x^1.5 as x with a PASS, and an exact
+    # string too large for a float ended in an OverflowError traceback
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["frechet", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config:") and repr(value) in err[0]
+
+
 @pytest.mark.parametrize("field", ["point", "directions"])
 def test_exit_one_on_a_function_of_another_dimension(tmp_path, capsys, field):
     gauss1 = fsemcalc.GaussPolyFn.gaussian((1,)).to_json()

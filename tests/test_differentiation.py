@@ -491,6 +491,90 @@ def test_continuity_samples_never_read_a_rounded_away_point():
                 assert w.passed and not zeros, (m, x0, eps, len(zeros))
 
 
+def _seq_element(rng, space, exact):
+    num = (lambda: Fraction(rng.randint(-12, 12), 4)) if exact else (lambda: rng.choice([rng.uniform(-3, 3), -0.0]))
+    tail = num() if isinstance(space, SSpace) and rng.random() < 0.5 else 0
+    return SeqElement([num() for _ in range(rng.randint(0, 7))], tail)
+
+
+def test_residual_and_increment_at_the_restriction_have_the_same_J_seminorms():
+    # every map on the sequence spaces is entrywise, so reading u only up
+    # to max J changes no J-seminorm of the (DZ)/(DR) residual, the (DR)
+    # ratio or the continuity increment, bit for bit
+    from fsemcalc.differentiation import _residual
+
+    rng = random.Random(25)
+    sig3, sig7 = SigmaRhoSpace(0.3), SigmaRhoSpace(0.7)
+    ops = []
+    for dom in (sig3, SIGMA, sig7, S):
+        ops += [Operator("power", {"m": m}, dom, dom) for m in (2, 3)]
+        ops += [Operator("poly", {"coeffs": (Fraction(1, 2), 0, -3)}, dom, dom), Operator("scale", {"a": 1.5}, dom, dom)]
+    ops += [Operator("cross_power", {"m": m}, sp, S) for sp in (sig3, sig7) for m in (2, 3)]
+    Js = [[1], [2], [1, 2], [3], [2, 5], [7, 1, 4]]
+    checked = 0
+    for o in ops:
+        dom, cod = o.domain, o.codomain
+        for exact in (True, False):
+            xbar = _seq_element(rng, dom, exact)
+            maps = [_residual(o, xbar, L) for L in (None, Diagonal((3, -0.5), 1, cod), IdentityScaled(2, cod))]
+            maps.append(o.taylor_remainder(xbar).increment)
+            for _ in range(6):
+                u = _seq_element(rng, dom, rng.random() < 0.3)
+                for J in Js:
+                    cut = dom.restrict(u, J)
+                    for fn in maps:
+                        whole, part = fn(u), fn(cut)
+                        for k in J:
+                            assert cod.seminorm(k, part).hex() == cod.seminorm(k, whole).hex(), (o.describe(), xbar, u, J, k)
+                        assert dr_ratio(cod, part, 0.37, J).hex() == dr_ratio(cod, whole, 0.37, J).hex()
+                        checked += 1
+    assert checked == len(ops) * 2 * 6 * len(Js) * 4
+
+
+@pytest.mark.parametrize(
+    "o, xbar, J, I",
+    [
+        (Q2, SeqElement([Fraction(1, 3), 2, -1]), [1, 3], [1]),
+        (Operator("power", {"m": 3}, SigmaRhoSpace(0.3), SigmaRhoSpace(0.3)), SeqElement([4, 1, 0.5]), [2], [1, 2]),
+        (R2, SeqElement([3, Fraction(-1, 2)], tail=Fraction(1, 2)), [1, 2], [2]),
+        (Operator("power", {"m": 3}, S, S), SeqElement([1.5], tail=-2.0), [2, 4], [1]),
+        (LAM2, SeqElement([2, -1, 3]), [1, 2], [3]),
+    ],
+    ids=["sigma-I-short", "sigma0.3-I-long", "s-tails", "s-float-tail", "cross-power"],
+)
+def test_verdicts_on_the_restriction_give_the_witness_of_the_whole_sample(monkeypatch, o, xbar, J, I):
+    # an explicit I that does not cover J, S tails and a wrong candidate:
+    # the whole verdict is the same JSON with u read whole
+    dom = o.domain
+    wrong = Diagonal((3,), 0, o.codomain)
+
+    def witnesses():
+        out = []
+        for kw in ({}, {"L": wrong}):
+            w = verify_frechet(o, xbar, J, 0.1, delta_source=(I, 0.05), rng=random.Random(5), n_samples=150, **kw)
+            out.append(json.dumps(w.to_json(dom)))
+        w = continuity_verify(o, xbar, J, 0.1, delta_source=(I, 0.05), rng=random.Random(5), n_samples=150)
+        return out + [json.dumps(w.to_json(dom))]
+
+    restricted = witnesses()
+    monkeypatch.setattr(type(dom), "restrict", lambda self, x, J: x)
+    assert restricted == witnesses()
+
+
+def test_continuity_witness_writes_x0_plus_u_for_the_stored_samples():
+    # the witness keeps u and forms the point x = x0 + u only when written
+    f = Fraction
+    for o, x0 in ((Q2, SeqElement([f(1, 3), 2])), (R2, SeqElement([f(3)], tail=f(1, 2))), (P2, GAUSS)):
+        dom = o.domain
+        J = [((0,), (0,))] if dom is SCH else [1, 2]
+        w = continuity_verify(o, x0, J, 0.1, rng=random.Random(4), n_samples=130 if dom is not SCH else 12)
+        doc = w.to_json(dom)
+        stored = w.samples[:100]
+        assert json.dumps([s["x"] for s in doc["samples"]]) == json.dumps([dom.element_to_json(dom.add(x0, u)) for u, _ in stored])
+        assert [s["image_residual"] for s in doc["samples"]] == [float(r) for _, r in stored]
+        assert doc["n_samples"] == len(w.samples) and all(s["x"] is None for s in w.to_json()["samples"])
+
+
 def test_continuity_searched_fallback():
     rng = random.Random(9)
     w = continuity_verify(P2, GAUSS, [((0,), (0,))], 0.1, delta_source="searched", rng=rng, n_samples=30)
@@ -591,6 +675,15 @@ def test_basis_independence():
     assert r.passed
     r = basis_independence_check(Q2, ONE, ONE, lambda sid: 1.0, [1], 0.1)
     assert r.passed
+
+
+def test_rescaled_family_scales_the_residual_it_reports():
+    # the family maximum is taken over the rescaled seminorms, not the base's
+    from fsemcalc.differentiation import RescaledFamily
+
+    rescaled = Operator("power", {"m": 2}, SIGMA, RescaledFamily(SIGMA, lambda sid: 1.5))
+    for t in (Fraction(1, 10), Fraction(-1, 100)):
+        assert gateaux_residual(rescaled, ONE, ONE, None, t, [1]) == 1.5 * gateaux_residual(Q2, ONE, ONE, None, t, [1])
 
 
 def test_basis_independence_wrong_candidate_fails_both():

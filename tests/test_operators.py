@@ -226,6 +226,64 @@ def test_taylor_remainder_is_the_exact_difference():
         assert o.taylor_remainder(XBAR2).increment(U2) == o.apply(U2), o.describe()
 
 
+def _series_full_loop(o, xbar, u, first):
+    """The expansion's terms i >= first read at every entry up to the longer
+    of the two prefixes, which is how they were read before a tail-0 u
+    stopped the loop at the end of its own prefix."""
+    from fsemcalc.gausspoly import _is_exact
+    from fsemcalc.operators import _series_entry
+
+    a = o.coeffs
+    m = len(a)
+    rows = [
+        [sum(a[j - 1] * math.comb(j, i) * t ** (j - i) for j in range(i, m + 1)) for i in range(m, 0, -1)]
+        for t in (*xbar.prefix, xbar.tail)
+    ]
+    forms = [(cs if all(map(_is_exact, cs)) else None, [float(c) for c in cs]) for cs in (r[: m + 1 - first] for r in rows)]
+    *prefix, tail = forms
+    vals = [
+        _series_entry(prefix[k] if k < len(prefix) else tail, u.entry(k + 1), first)
+        for k in range(max(len(prefix), len(u.prefix)))
+    ]
+    return SeqElement(vals, _series_entry(tail, u.tail, first))
+
+
+def _bits(x: SeqElement):
+    return [(type(v), v.hex() if type(v) is float else v) for v in x.prefix + (x.tail,)]
+
+
+def test_a_tail_zero_sample_stops_at_the_end_of_its_prefix():
+    # every later entry is the series at 0, +-0 or an exact 0, which the
+    # element trims: the remainder and the increment are the same bits
+    rng = random.Random(31)
+    f = Fraction
+    sig3, sig7 = SigmaRhoSpace(0.3), SigmaRhoSpace(0.7)
+    pairs = [(sig3, sig3), (SIGMA, SIGMA), (sig7, sig7), (S, S), (sig3, S)]
+    checked = 0
+    for dom, cod in pairs:
+        kinds = [("power", {"m": m}) for m in (2, 3, 4)] + [("poly", {"coeffs": (f(1, 2), 0, 3, -1.25)})]
+        if isinstance(cod, SSpace) and dom is not cod:
+            kinds = [("cross_power", {"m": m}) for m in (2, 3)]
+        for kind, params in kinds:
+            o = Operator(kind, params, dom, cod)
+            for _ in range(12):
+                exact = rng.random() < 0.5
+                xbar = SeqElement(
+                    [f(rng.randint(-12, 12), 4) if exact else rng.uniform(-3, 3) for _ in range(rng.randint(0, 6))],
+                    f(rng.randint(-4, 4), 2) if isinstance(dom, SSpace) and rng.random() < 0.5 else 0,
+                )
+                expansion = o.taylor_remainder(xbar)
+                for tail in (0, 0.0, -0.0):
+                    u = SeqElement(
+                        [rng.choice([f(rng.randint(-9, 9), 8), rng.uniform(-1, 1), -0.0]) for _ in range(rng.randint(0, 3))],
+                        tail,
+                    )
+                    assert _bits(expansion(u)) == _bits(_series_full_loop(o, xbar, u, 2)), (o.describe(), xbar, u)
+                    assert _bits(expansion.increment(u)) == _bits(_series_full_loop(o, xbar, u, 1)), (o.describe(), xbar, u)
+                    checked += 1
+    assert checked == 648
+
+
 def test_taylor_remainder_is_exact_only_on_exact_entries():
     o = Operator("power", {"m": 3}, S, S)
     r = o.taylor_remainder(SeqElement([Fraction(1, 3)], tail=Fraction(1, 2)))

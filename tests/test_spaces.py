@@ -68,9 +68,13 @@ mixed = st.one_of(
 )
 
 
+def _bit(v):
+    """A value with its type; a float by its bits, signed zeros included."""
+    return type(v), v.hex() if type(v) is float else v
+
+
 def _bits(x: SeqElement):
-    """Entries with their types; floats by their bits, signed zeros included."""
-    return [(type(v), v.hex() if type(v) is float else v) for v in x.prefix + (x.tail,)]
+    return [_bit(v) for v in x.prefix + (x.tail,)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,6 +99,44 @@ def test_seq_json_roundtrip_is_lossless_on_fractions(prefix, tail):
     assert y == x and all(type(v) is Fraction for v in y.prefix + (y.tail,))
 
 
+# -- one-pass family maxima and restriction -----------------------------------
+
+signed = st.one_of(mixed, st.just(-0.0), st.just(0.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([0.3, 0.5, 0.7, None]),
+    st.lists(signed, max_size=6),
+    signed,
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+)
+@example(0.5, [-0.0, 0.0], 0, [2, 1, 7])
+@example(None, [Fraction(1, 3), -0.0], -0.0, [3, 2])
+def test_sequence_family_max_is_the_max_of_its_seminorms_bit_for_bit(rho, prefix, tail, ids):
+    # one pass over the coordinates, ids beyond the prefix reading the tail,
+    # gives the float that one seminorm call per id gives, in the same order
+    space = SSpace() if rho is None else SigmaRhoSpace(rho)
+    x = SeqElement(prefix, tail if rho is None else 0)
+    want = max(space.seminorm(k, x) for k in ids)
+    assert space.family_max(x, ids).hex() == want.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(signed, max_size=8), signed, st.lists(st.integers(1, 9), min_size=1, max_size=4))
+def test_restrict_keeps_every_coordinate_its_index_set_reads(prefix, tail, J):
+    # entries up to max J are kept, each as it is or, when it is 0, as the
+    # exact 0; each J-seminorm is the same float
+    for space, x in ((S, SeqElement(prefix, tail)), (SIGMA, SeqElement(prefix, 0))):
+        r = space.restrict(x, J)
+        assert len(r.prefix) <= max(J) and r.tail == 0
+        for k in range(1, max(J) + 1):
+            assert _bit(r.entry(k)) == _bit(x.entry(k)) or r.entry(k) == x.entry(k) == 0
+            assert space.seminorm(k, r).hex() == space.seminorm(k, x).hex()
+    f = GaussPolyFn.gaussian((Fraction(1),))
+    assert SCH.restrict(f, [((0,), (0,))]) is f
+
+
 # -- sigma_rho ----------------------------------------------------------------
 
 
@@ -110,6 +152,8 @@ def test_sigma_seminorm_metric_sup_examples():
 def test_sigma_rejects_nonzero_tail():
     with pytest.raises(ValueError):
         SIGMA.seminorm(1, SeqElement([1], tail=2))
+    with pytest.raises(ValueError):
+        SIGMA.family_max(SeqElement([1], tail=2), [1])
     with pytest.raises(ValueError):
         SIGMA.metric(SeqElement([1], tail=1), SeqElement.zero())
 
