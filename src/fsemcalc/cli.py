@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .suites import SUITE_KINDS, builtin_catalogue_config, run_config
+from .suites import MAX_COUNT, SUITE_KINDS, builtin_catalogue_config, run_config
 
 _KIND_BY_COMMAND = {
     "axioms": "axioms",
@@ -71,8 +71,8 @@ def _validate(config) -> str | None:
         params = e.get("params", {})
         for where, field in ((params, "n_samples"), (params, "budget"), (e, "budget")):
             value = where.get(field, 0)
-            if isinstance(value, bool) or not isinstance(value, int):
-                return f"suites[{i}] ({e['name']}): field '{field}' must be an integer, got {value!r}"
+            if isinstance(value, bool) or not isinstance(value, int) or value > MAX_COUNT:
+                return f"suites[{i}] ({e['name']}): field '{field}' must be an integer <= {MAX_COUNT}, got {value!r}"
     return None
 
 
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return 1
     problem = _validate(config)
@@ -120,8 +120,13 @@ def main(argv=None) -> int:
 
     try:
         report = run_config(config, seed_override=args.seed, name_filter=args.suite, kind_filter=kind)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (LookupError, ValueError, TypeError) as exc:  # LookupError: also NoRecipeError
         print(f"error: bad config: {exc}", file=sys.stderr)
+        return 1
+    except (OverflowError, RuntimeError) as exc:
+        # a float power beyond float range, or a neighbourhood that the
+        # sampler cannot land in (an explicit I that no direction reaches)
+        print(f"error: config cannot be run: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     if args.suite and not report["suites"]:
         scope = f" of kind {kind!r}" if kind else ""

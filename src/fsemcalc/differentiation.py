@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import multiindex as mi
 from .gausspoly import _is_exact, _is_number
@@ -38,6 +39,7 @@ from .seminorms import CheckReport, IndexSet, family_max, index_set
 from .spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace
 
 __all__ = [
+    "SampleRecord",
     "GateauxWitness",
     "FrechetWitness",
     "ContinuityWitness",
@@ -78,8 +80,23 @@ def _reciprocal(t):
     return 1.0 / t
 
 
-def _stats(values):
-    vals = [float(v) for v in values]
+class SampleRecord(tuple):
+    """One sample of a verdict, made as SampleRecord((input, max_I, value)):
+    its input (the element u, or t for Gateaux), max_I p(u) as measured when
+    u landed (0.0 for a (DZ) kernel sample, None for Gateaux, which has no
+    I) and the value checked against epsilon (residual, (DR) ratio or image
+    residual).  A tuple subclass, not a NamedTuple: every sample makes one,
+    and NamedTuple's Python-level __new__ cost about 3% of a sequence-space
+    verdict."""
+
+    __slots__ = ()
+    input = property(itemgetter(0))
+    max_I = property(itemgetter(1))
+    value = property(itemgetter(2))
+
+
+def _stats(records):
+    vals = [float(s.value) for s in records]
     if not vals:
         return {"max": 0.0, "mean": 0.0}
     return {"max": max(vals), "mean": sum(vals) / len(vals)}
@@ -94,7 +111,7 @@ class GateauxWitness:
     J: IndexSet
     epsilon: float
     delta: float
-    schedule: list  # (t, residual) pairs
+    schedule: list  # SampleRecords (t, None, residual)
     passed: bool
     seed: int | None = None
 
@@ -106,9 +123,9 @@ class GateauxWitness:
             "delta": self.delta,
             "J": [str(s) for s in self.J],
             "seed": self.seed,
-            "schedule": [{"t": float(t), "residual": float(r)} for t, r in self.schedule[:MAX_STORED_SAMPLES]],
+            "schedule": [{"t": float(s.input), "residual": float(s.value)} for s in self.schedule[:MAX_STORED_SAMPLES]],
             "n_schedule": len(self.schedule),
-            "residuals": _stats(r for _, r in self.schedule),
+            "residuals": _stats(self.schedule),
         }
 
 
@@ -163,12 +180,8 @@ def verify_gateaux(op: Operator, xbar, v, L, J, epsilon: float, t_schedule=None,
     J = index_set(op.codomain, J)
     residual = _residual(op, xbar, L)
     mags = sorted(set(abs(t) for t in t_schedule), reverse=True)
-    records = []
-    per_mag = []
-    for m in mags:
-        rp, rm = (_gateaux_quotient(op, residual, v, t, J) for t in (m, -m))
-        records.extend([(m, rp), (-m, rm)])
-        per_mag.append(max(rp, rm))
+    records = [SampleRecord((t, None, _gateaux_quotient(op, residual, v, t, J))) for m in mags for t in (m, -m)]
+    per_mag = [max(p.value, q.value) for p, q in zip(records[::2], records[1::2])]
     k0 = len(mags)
     for k in range(len(mags), 0, -1):
         if per_mag[k - 1] < epsilon:
@@ -193,22 +206,21 @@ class FrechetWitness:
     epsilon: float
     I: IndexSet
     delta: float
-    dz_samples: list
-    dr_samples: list  # (element, family_max, ratio)
+    dz_samples: list  # SampleRecords (u, 0.0, residual)
+    dr_samples: list  # SampleRecords (u, max_I p(u), ratio)
     delta_source: str
     recipe: str
     passed: bool
     seed: int | None = None
 
     def to_json(self, space=None) -> dict:
-        dr = self.dr_samples
         stored = [
             {
-                "u": (space.element_to_json(u) if space is not None else None),
-                "max_I": float(c),
-                "ratio": float(r),
+                "u": (space.element_to_json(s.input) if space is not None else None),
+                "max_I": float(s.max_I),
+                "ratio": float(s.value),
             }
-            for u, c, r in dr[:MAX_STORED_SAMPLES]
+            for s in self.dr_samples[:MAX_STORED_SAMPLES]
         ]
         return {
             "kind": "frechet",
@@ -221,9 +233,9 @@ class FrechetWitness:
             "I": [str(s) for s in self.I],
             "seed": self.seed,
             "n_dz": len(self.dz_samples),
-            "dz_residuals": _stats(r for _, r in self.dz_samples),
-            "n_dr": len(dr),
-            "dr_ratios": _stats(r for _, _, r in dr),
+            "dz_residuals": _stats(self.dz_samples),
+            "n_dr": len(self.dr_samples),
+            "dr_ratios": _stats(self.dr_samples),
             "dr_samples": stored,
         }
 
@@ -343,27 +355,17 @@ def _resolve_delta(delta_source, recipe_fn, dom):
         return I, delta, "explicit", "explicit"
     if delta_source in ("auto", "constructive"):
         try:
-            return (*recipe_fn(), "constructive")
+            I, delta, recipe = recipe_fn()
         except NoRecipeError:
             if delta_source == "constructive":
                 raise
+        else:
+            # a recipe's delta underflows to 0 or overflows at extreme data
+            _check_positive(f"the {recipe} recipe's delta", delta)
+            return I, delta, recipe, "constructive"
     elif delta_source != "searched":
         raise ValueError(f"unknown delta_source {delta_source!r}: expected auto, constructive, searched or [I, delta]")
     return None, None, "searched", "searched"
-
-
-def _neighbourhood(dom, I: IndexSet, delta: float, rng, count: int):
-    """Yield count pairs (u, max_I p(u)) with 0 < max_I p(u) < delta, one per
-    _dr_targets level, from the space's own random directions."""
-    for target in _dr_targets(delta, rng, count):
-        for _ in range(20):
-            u = scale_into(dom, dom.random_direction(rng), I, target)
-            c = 0.0 if u is None else family_max(dom, u, I)
-            if 0.0 < c < delta:
-                break
-        else:
-            raise RuntimeError("sampler failed to land in the punctured neighborhood")
-        yield u, c
 
 
 def _check_positive(name, value):
@@ -373,27 +375,47 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def _check_budget(epsilon, n_samples):
-    """epsilon must be a finite number > 0 and n_samples an integer >= 1 (no
-    samples would make every verdict a vacuous pass)."""
+def _sample_loop(op, x, J, epsilon, delta_source, rng, n_samples, numerator, divide: bool):
+    """The sample loop of continuity and (DZ)/(DR): each u with
+    0 < max_I p(u) < delta, a random direction scaled onto a _dr_targets
+    level, must give max_J q(N(u) / d) < epsilon, with d = max_I p(u) if
+    divide ((DR)), else 1 (continuity).  (DZ) first requires N = 0 on the
+    kernel samples.  N is read at u restricted to what the seminorms of J
+    read (``dom.restrict``).  (I, delta) comes from delta_source and the
+    Frechet (divide) or continuity recipe at x; with I None, delta halves
+    from 1 until a batch passes, and the search fails below 1e-12.  Returns
+    (J, I, delta, recipe, source, passed, kernel records, records)."""
     _check_positive("epsilon", epsilon)
-    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:  # no samples: a vacuous pass
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-
-
-def _sampled_verdict(dom, J: IndexSet, I, delta, batch):
-    """Run batch(I, delta) -> (passed, samples) and return
-    (I, delta, passed, samples).  With I None, halve delta from 1 over the
-    covering index set until a batch passes; the search fails below 1e-12."""
-    if I is not None:
-        return (I, float(delta), *batch(I, delta))
-    I, delta = _covering_index_set(dom, J), 1.0
-    while delta >= 1e-12:
-        passed, samples = batch(I, delta)
-        if passed:
-            break
+    rng = rng or random.Random(0)
+    dom, cod = op.domain, op.codomain
+    J = index_set(cod, J)
+    recipe_fn = delta_constructor if divide else continuity_delta
+    I, delta, recipe, source = _resolve_delta(delta_source, lambda: recipe_fn(op, x, J, epsilon), dom)
+    searched = I is None
+    if searched:
+        I, delta = _covering_index_set(dom, J), 1.0
+    while True:
+        kernel = _kernel_samples(dom, I, rng) if divide else []
+        kernel = [SampleRecord((u, 0.0, family_max(cod, numerator(dom.restrict(u, J)), J))) for u in kernel]
+        samples = []
+        for target in _dr_targets(delta, rng, n_samples):
+            for _ in range(20):
+                u = scale_into(dom, dom.random_direction(rng), I, target)
+                c = 0.0 if u is None else family_max(dom, u, I)
+                if 0.0 < c < delta:
+                    break
+            else:
+                raise RuntimeError("sampler failed to land in the punctured neighborhood")
+            n = numerator(dom.restrict(u, J))
+            samples.append(SampleRecord((u, c, dr_ratio(cod, n, c, J) if divide else family_max(cod, n, J))))
+        passed = all(s.value <= EXACT_ZERO_TOL for s in kernel) and all(s.value < epsilon for s in samples)
+        if passed or not searched:
+            return J, I, float(delta), recipe, source, passed, kernel, samples
         delta /= 2.0
-    return I, delta, delta >= 1e-12, samples
+        if delta < 1e-12:
+            return J, I, delta, recipe, source, False, kernel, samples
 
 
 def verify_frechet(
@@ -419,27 +441,13 @@ def verify_frechet(
     Taylor remainder (:meth:`Operator.taylor_remainder`, 0 for a linear
     kind) when L is None; a candidate L adds (L* - L) u in one closed form,
     or for a linear kind makes it T u - L u.  T is not applied near xbar
-    and no cancelling subtraction rounds the ratio.  The residual is read
-    at u restricted to what the seminorms of J read (``dom.restrict``); the
-    witness keeps u whole.
+    and no cancelling subtraction rounds the ratio.  The one sample loop
+    (``_sample_loop``) reads it, divided by max_I p(u).
     """
-    _check_budget(epsilon, n_samples)
-    rng = rng or random.Random(0)
-    dom, cod = op.domain, op.codomain
-    J = index_set(cod, J)
-    I, delta, recipe, source = _resolve_delta(delta_source, lambda: delta_constructor(op, xbar, J, epsilon), dom)
     residual = _residual(op, xbar, L)
-
-    def batch(I, delta):
-        dz = [(u, family_max(cod, residual(dom.restrict(u, J)), J)) for u in _kernel_samples(dom, I, rng)]
-        dr = [
-            (u, c, dr_ratio(cod, residual(dom.restrict(u, J)), c, J))
-            for u, c in _neighbourhood(dom, I, delta, rng, n_samples)
-        ]
-        passed = all(r <= EXACT_ZERO_TOL for _, r in dz) and all(r < epsilon for _, _, r in dr)
-        return passed, (dz, dr)
-
-    I, delta, passed, (dz, dr) = _sampled_verdict(dom, J, I, delta, batch)
+    J, I, delta, recipe, source, passed, dz, dr = _sample_loop(
+        op, xbar, J, epsilon, delta_source, rng, n_samples, residual, True
+    )
     return FrechetWitness(J, float(epsilon), I, delta, dz, dr, source, recipe, passed, seed)
 
 
@@ -454,7 +462,7 @@ class ContinuityWitness:
     I: IndexSet
     delta: float
     x0: object
-    samples: list  # (u, image residual at u)
+    samples: list  # SampleRecords (u, max_I p(u), image residual)
     recipe: str
     passed: bool
     seed: int | None = None
@@ -463,10 +471,10 @@ class ContinuityWitness:
         # the point x = x0 + u is formed for the stored samples only
         stored = [
             {
-                "x": (space.element_to_json(space.add(self.x0, u)) if space is not None else None),
-                "image_residual": float(r),
+                "x": (space.element_to_json(space.add(self.x0, s.input)) if space is not None else None),
+                "image_residual": float(s.value),
             }
-            for u, r in self.samples[:MAX_STORED_SAMPLES]
+            for s in self.samples[:MAX_STORED_SAMPLES]
         ]
         return {
             "kind": "continuity",
@@ -478,7 +486,7 @@ class ContinuityWitness:
             "I": [str(s) for s in self.I],
             "seed": self.seed,
             "n_samples": len(self.samples),
-            "image_residuals": _stats(r for _, r in self.samples),
+            "image_residuals": _stats(self.samples),
             "samples": stored,
         }
 
@@ -519,25 +527,14 @@ def continuity_verify(
     seed=None,
 ) -> ContinuityWitness:
     """Sample u with 0 < max_I p(u) < delta and check the image condition
-    max_J q(T(x0 + u) - T(x0)) < epsilon, with the increment read at u from
-    the expansion that Gateaux and (DR) read, at u restricted to what the
-    seminorms of J read (``dom.restrict``): no operator is applied.  The
-    witness keeps u, and forms the float x0 + u, which may round back onto
-    x0, only as the x of a stored sample."""
-    _check_budget(epsilon, n_samples)
-    rng = rng or random.Random(0)
-    dom, cod = op.domain, op.codomain
-    J = index_set(cod, J)
-    I, delta, recipe, _ = _resolve_delta(delta_source, lambda: continuity_delta(op, x0, J, epsilon), dom)
+    max_J q(T(x0 + u) - T(x0)) < epsilon in the one sample loop, with the
+    increment read at u from the expansion that Gateaux and (DR) read: no
+    operator is applied.  The witness keeps u, and forms the float x0 + u,
+    which may round back onto x0, only as the x of a stored sample."""
     increment = op.taylor_remainder(x0).increment
-
-    def batch(I, delta):
-        samples = [
-            (u, family_max(cod, increment(dom.restrict(u, J)), J)) for u, _ in _neighbourhood(dom, I, delta, rng, n_samples)
-        ]
-        return all(r < epsilon for _, r in samples), samples
-
-    I, delta, passed, samples = _sampled_verdict(dom, J, I, delta, batch)
+    J, I, delta, recipe, _, passed, _, samples = _sample_loop(
+        op, x0, J, epsilon, delta_source, rng, n_samples, increment, False
+    )
     return ContinuityWitness(J, float(epsilon), I, delta, x0, samples, recipe, passed, seed)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,12 @@ __all__ = ["SparsePoly", "GaussPolyTerm", "GaussPolyFn", "leibniz_expand", "leib
 
 # Tolerance for merging float decay vectors and for approx-equality queries.
 MERGE_TOL = 1e-12
+
+# Largest exponent, multi-index entry or power m that a config may name, and
+# largest decimal exponent of an exact string: they bound the work of a run.
+MAX_ORDER = 16
+MAX_DECIMAL_EXPONENT = 999
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
 # Exact/inexact scalar helpers, shared with spaces.py.  Type tests, not
@@ -88,12 +95,28 @@ def _json_num(v):
 def _exact_from_json(s: str) -> Fraction:
     """An exact JSON string ("1/3", "2.5") as a Fraction, refused when it is
     too large for a float, as the config loader refuses such a JSON number:
-    every seminorm reads the value as a float."""
-    v = Fraction(s)
+    every seminorm reads the value as a float.  A zero denominator is
+    refused, and so is a decimal exponent beyond MAX_DECIMAL_EXPONENT either
+    way before Fraction(s) spends time on its digits."""
+    e = _DECIMAL_EXPONENT.search(s)
+    # length first: int() of a very long digit string takes time of its own
+    if e and (len(e.group(1)) > 12 or abs(int(e.group(1))) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(f"exact number {s!r} has a decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
     try:
+        v = Fraction(s)
         float(v)
+    except ZeroDivisionError:
+        raise ValueError(f"exact number {s!r} has a zero denominator") from None
     except OverflowError:
         raise ValueError(f"exact number {s!r} is too large for a float") from None
+    return v
+
+
+def _config_int(v, what: str, lo: int, hi: int) -> int:
+    """v as a config integer in [lo, hi]: a JSON integer, neither a bool nor
+    2.0, within the limits that keep a run's work bounded."""
+    if type(v) is not int or not lo <= v <= hi:
+        raise ValueError(f"{what} must be a JSON integer in [{lo}, {hi}], got {v!r}")
     return v
 
 
@@ -497,15 +520,12 @@ class GaussPolyFn:
     @classmethod
     def from_json(cls, doc: dict) -> "GaussPolyFn":
         def num(v):
+            if isinstance(v, bool):  # float(True) would run a decay of true as 1.0
+                raise ValueError(f"a function's decay or coefficient must be a number or an exact string, got {v!r}")
             return _exact_from_json(v) if isinstance(v, str) else float(v)
 
-        def integer(v, what):
-            # int() would run n = 1.9 as 1 and x^1.5 as x
-            if type(v) is not int:
-                raise ValueError(f"a function's {what} must be a JSON integer, got {v!r}")
-            return v
-
-        n = integer(doc["n"], "n")
+        # int() would run n = 1.9 as 1 and x^1.5 as x
+        n = _config_int(doc["n"], "a function's n", 1, MAX_ORDER)
         terms = []
         for t in doc["terms"]:
             decay = tuple(num(a) for a in t["decay"])
@@ -517,7 +537,7 @@ class GaussPolyFn:
                     c = re
                 else:
                     c = complex(float(re), float(im))
-                poly[tuple(integer(e, "exponent") for e in m["exp"])] = c
+                poly[tuple(_config_int(e, "a function's exponent", 0, MAX_ORDER) for e in m["exp"])] = c
             terms.append(GaussPolyTerm(SparsePoly(n, poly), decay))
         return cls(n, terms)
 

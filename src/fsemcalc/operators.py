@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import multiindex as mi
-from .gausspoly import GaussPolyFn, _cmul, _is_exact, _is_number
+from .gausspoly import MAX_ORDER, GaussPolyFn, _cmul, _config_int, _is_exact, _is_number
 from .seminorms import CheckReport, index_set
 from .spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace, space_from_json
 
@@ -184,10 +184,11 @@ class Operator:
         params = dict(doc.get("params", {}))
         if "g" in params:
             params["g"] = GaussPolyFn.from_json(params["g"])
-        if "gamma" in params:
-            params["gamma"] = tuple(params["gamma"])
-        if "lam" in params:
-            params["lam"] = tuple(params["lam"])
+        if "m" in params:
+            _config_int(params["m"], "an operator's m", 1, MAX_ORDER)
+        for key in ("gamma", "lam"):
+            if key in params:
+                params[key] = tuple(_config_int(e, f"an operator's {key} entry", 0, MAX_ORDER) for e in params[key])
         return cls(doc["kind"], params, dom, cod)
 
 

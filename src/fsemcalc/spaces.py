@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import multiindex as mi
-from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _exact_from_json, _json_num
+from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _exact_from_json, _is_number, _json_num
 from .seminorms import f_norm
 
 __all__ = [
@@ -113,10 +113,19 @@ class SeqElement:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SeqElement":
-        def num(v):
-            return _exact_from_json(v) if isinstance(v, str) else v
+        """The element of {"prefix": [...], "tail": t}, whose entries are
+        numbers or exact strings; any other document is refused."""
+        if not (isinstance(doc, dict) and doc.keys() == {"prefix", "tail"} and isinstance(doc["prefix"], list)):
+            raise ValueError(f"a sequence must be {{'prefix': [...], 'tail': t}}, got {doc!r:.80}")
 
-        return cls([num(v) for v in doc.get("prefix", [])], num(doc.get("tail", 0)))
+        def num(v):
+            if isinstance(v, str):
+                return _exact_from_json(v)
+            if not _is_number(v):
+                raise ValueError(f"a sequence entry must be a number or an exact string, got {v!r:.80}")
+            return v
+
+        return cls([num(v) for v in doc["prefix"]], num(doc["tail"]))
 
     def __repr__(self):
         return f"SeqElement({list(self.prefix)!r}, tail={self.tail!r})"

@@ -22,7 +22,7 @@ from .differentiation import (
     verify_frechet,
     verify_gateaux,
 )
-from .gausspoly import GaussPolyFn, _exact_from_json, _is_number, leibniz_summands
+from .gausspoly import MAX_ORDER, GaussPolyFn, _config_int, _exact_from_json, _is_number, leibniz_summands
 from .operators import (
     Diagonal,
     IdentityScaled,
@@ -47,6 +47,11 @@ SCHEMA = "fsemcalc/1"
 VERSION = "0.1.0"
 
 SUITE_KINDS = ("axioms", "continuity", "gateaux", "frechet", "order", "identity")
+
+# Largest sample or draw count and largest sequence seminorm index that a
+# config may name: each sets the work of a run (MAX_ORDER bounds the rest).
+MAX_COUNT = 100_000
+MAX_INDEX = 10_000
 
 
 def derive_seed(base: int, name: str) -> int:
@@ -80,13 +85,14 @@ def linmap_from_json(space_cod, doc):
 
 
 def _sid_list(raw, field):
-    """params[field] as seminorm ids: JSON integers, or (Schwartz space)
-    lists of them and of such lists, each list made a tuple."""
-    def sid(s):
-        if type(s) is not int and not isinstance(s, list):
-            raise ValueError(f"{field}: seminorm id entry {s!r} is not a JSON integer")
-        return tuple(map(sid, s)) if isinstance(s, list) else s
-    return [sid(s) for s in raw]
+    """params[field] as seminorm ids: JSON integers up to MAX_INDEX, or
+    (Schwartz space) lists of them up to MAX_ORDER and of such lists, each
+    list made a tuple."""
+    def sid(s, limit):
+        if isinstance(s, list):
+            return tuple(sid(e, MAX_ORDER) for e in s)
+        return _config_int(s, f"{field}: seminorm id entry", 0, limit)
+    return [sid(s, MAX_INDEX) for s in raw]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +312,7 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
             v = op.domain.element_from_json(entry["direction"])
             sched = None
             if "t_schedule" in params:
-                sched = [Fraction(str(t)) for t in params["t_schedule"]]
+                sched = [_exact_from_json(str(t)) for t in params["t_schedule"]]
             w = verify_gateaux(op, point, v, candidate, J, epsilon, sched, seed=seed)
             payload, passed = w.to_json(), w.passed
 

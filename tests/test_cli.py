@@ -106,6 +106,15 @@ def test_exit_one_on_non_finite_config(tmp_path, capsys):
         assert len(err) == 1 and token in err[0]
 
 
+def test_exit_one_on_a_config_nested_too_deeply(tmp_path, capsys):
+    # the JSON decoder ran out of stack: a RecursionError traceback
+    cfg = tmp_path / "deep.json"
+    cfg.write_text('{"seed": 1, "suites": [], "note": %s}' % ("[" * 100_000 + "]" * 100_000))
+    assert main(["suite", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot load config:")
+
+
 def test_exit_one_on_integer_too_large_for_a_float(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry(epsilon=10**400)]})
     assert main(["suite", "--config", cfg]) == 1
@@ -168,11 +177,13 @@ def test_exit_one_on_bad_delta_source(tmp_path, capsys, source):
         ("n_samples", -5),
         ("n_samples", 2.9),
         ("n_samples", True),
+        ("n_samples", 10**30),
         ("point", [1, 2]),
         ("point", 3),
         ("J", [1.7]),
         ("J", [True]),
         ("J", ["1"]),
+        ("J", [10**30]),
         ("candidate", {"form": "identity_scaled", "c": True}),
         ("candidate", {"form": "diagonal", "prefix": [True], "tail": 0}),
     ],
@@ -185,11 +196,13 @@ def test_exit_one_on_bad_delta_source(tmp_path, capsys, source):
         "negative-samples",
         "fractional-samples",
         "boolean-samples",
+        "huge-samples",
         "list-point",
         "number-point",
         "fractional-J",
         "boolean-J",
         "string-J",
+        "huge-J",
         "boolean-scalar-candidate",
         "boolean-diagonal-candidate",
     ],
@@ -260,14 +273,14 @@ def test_exit_one_on_meaningless_axioms_config(tmp_path, capsys, space, ids):
     assert len(err) == 1 and err[0].startswith("error: bad config:")
 
 
-def _schwartz_frechet_entry(n=1, exp=1, coefficient="1"):
-    point = {"n": n, "terms": [{"decay": ["1"], "poly": [{"exp": [exp], "re": coefficient, "im": "0"}]}]}
+def _schwartz_frechet_entry(n=1, exp=1, coefficient="1", im="0", decay="1", J_entry=0):
+    point = {"n": n, "terms": [{"decay": [decay], "poly": [{"exp": [exp], "re": coefficient, "im": im}]}]}
     return {
         "name": "square-schwartz",
         "kind": "frechet",
         "operator": {"kind": "power", "params": {"m": 2}, "domain": SCHWARTZ_DESC, "codomain": SCHWARTZ_DESC},
         "point": point,
-        "params": {"J": [[[0], [0]]], "epsilon": 0.1, "n_samples": 5},
+        "params": {"J": [[[J_entry], [0]]], "epsilon": 0.1, "n_samples": 5},
     }
 
 
@@ -295,6 +308,16 @@ def _with_rho(rho):
         (_with_rho("1e999"), "1e999"),
         (frechet_entry(candidate={"form": "identity_scaled", "c": "1e999"}), "1e999"),
         (frechet_entry(candidate={"form": "diagonal", "prefix": ["-1e999"], "tail": 0}), "-1e999"),
+        (_with_sigma_point_entry("1/0"), "1/0"),
+        (_schwartz_frechet_entry(im="1/0"), "1/0"),
+        (_with_sigma_point_entry("1e10000000"), "1e10000000"),
+        (_with_sigma_point_entry("1e-10000000"), "1e-10000000"),
+        (_schwartz_frechet_entry(decay=True), True),
+        (_schwartz_frechet_entry(coefficient=True), True),
+        (_schwartz_frechet_entry(exp=-1), -1),
+        (_schwartz_frechet_entry(exp=10**30), 10**30),
+        (_schwartz_frechet_entry(J_entry=10**30), 10**30),
+        (_with_sigma_point_entry(True), True),
     ],
     ids=[
         "fractional-function-n",
@@ -306,15 +329,75 @@ def _with_rho(rho):
         "huge-rho",
         "huge-scalar-candidate",
         "huge-diagonal-candidate",
+        "zero-denominator-sigma-point-entry",
+        "zero-denominator-imaginary-part",
+        "huge-decimal-exponent",
+        "tiny-decimal-exponent",
+        "boolean-decay",
+        "boolean-coefficient",
+        "negative-exponent",
+        "huge-exponent",
+        "huge-multi-index-entry",
+        "boolean-sigma-point-entry",
     ],
 )
 def test_exit_one_on_a_number_that_would_not_run_as_written(tmp_path, capsys, entry, value):
-    # int() ran n = 1.9 as 1 and x^1.5 as x with a PASS, and an exact
-    # string too large for a float ended in an OverflowError traceback
+    # int() ran n = 1.9 as 1 and x^1.5 as x with a PASS, float() ran a decay
+    # of true as 1, an exact string too large for a float or a multi-index
+    # entry of 10^30 ended in an OverflowError traceback, "1/0" in a
+    # ZeroDivisionError, and "1e10000000" took seconds in Fraction
     cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
     assert main(["frechet", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad config:") and repr(value) in err[0]
+
+
+@pytest.mark.parametrize(
+    "point",
+    [{}, {"a": 1}, {"prefix": [1]}, {"prefix": [1], "tail": 0, "extra": 2}, {"prefix": 1, "tail": 0},
+     {"prefix": [True], "tail": 0}, {"prefix": [], "tail": None}, fsemcalc.GaussPolyFn.gaussian((1,)).to_json()],
+    ids=["empty", "other-key", "no-tail", "extra-key", "number-prefix", "boolean-entry", "null-tail", "schwartz-function"],
+)
+def test_exit_one_on_a_sequence_point_that_is_no_sequence(tmp_path, capsys, point):
+    # a missing prefix read as [] and a missing tail as 0, so each of these
+    # ran at the origin or at (1, 0, ...) and passed
+    entry = frechet_entry()
+    entry["point"] = point
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["frechet", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config: a sequence")
+
+
+@pytest.mark.parametrize(
+    "kind, operator, source, message",
+    [
+        ("frechet", "poly", "constructive", "error: bad config: no constructive delta for kind 'poly'"),
+        ("continuity", "power", [[50], 0.01], "error: config cannot be run: RuntimeError: sampler failed to land"),
+    ],
+    ids=["constructive-without-recipe", "explicit-I-out-of-reach"],
+)
+def test_exit_one_on_a_delta_source_that_cannot_run(tmp_path, capsys, kind, operator, source, message):
+    # a NoRecipeError (a LookupError) and the sampler's RuntimeError, for an
+    # I that no random direction of sigma_rho reaches, were tracebacks
+    entry = frechet_entry()
+    entry["kind"] = kind
+    entry["operator"].update(kind=operator, params={"coeffs": [1, 1]} if operator == "poly" else {"m": 2})
+    entry["params"]["delta_source"] = source
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main([kind, "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+
+
+def test_exit_one_when_a_recipe_delta_is_no_positive_number(tmp_path, capsys):
+    # the schwartz-power bracket overflows at a coefficient of 1e308, so the
+    # recipe's delta is 0.0 and no sample could land below it
+    entry = _schwartz_frechet_entry(exp=0, coefficient=1e308)
+    cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+    assert main(["frechet", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config:") and "schwartz-power recipe's delta" in err[0]
 
 
 @pytest.mark.parametrize("field", ["point", "directions"])
@@ -458,6 +541,54 @@ def test_kind_filter_excludes_other_kinds(tmp_path):
     assert main(["order", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert [s["name"] for s in report["suites"]] == ["o"]
+
+
+# one value of each JSON type and each edge a config number can reach, and
+# the deletion of a key
+MUTATIONS = (True, None, "x", -1, 0, 1.5, 10**30, [], {}, "1e999", "1/0", 1e308)
+DELETE = object()
+
+
+def _paths(doc, prefix=()):
+    """The path of every value nested in doc, outermost first."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def test_every_single_mutation_of_a_catalogue_verdict_exits_cleanly(tmp_path, capsys):
+    # every value inside the catalogue's frechet, continuity and gateaux
+    # entries replaced by each of MUTATIONS, and every key deleted, one at a
+    # time: the run exits 0, 1 or 2 with no exception, and on 1 with one
+    # error line (about 3,000 runs, a few seconds: samples are capped at 20)
+    entries = [e for e in builtin_catalogue_config()["suites"] if e["kind"] in ("frechet", "continuity", "gateaux")]
+    cfg, out = tmp_path / "mutant.json", str(tmp_path / "report.json")
+    runs = 0
+    for entry in entries:
+        if "n_samples" in entry["params"]:
+            entry["params"]["n_samples"] = min(entry["params"]["n_samples"], 20)
+        for path in _paths(entry):
+            for value in MUTATIONS + ((DELETE,) if isinstance(path[-1], str) else ()):
+                mutant = copy.deepcopy(entry)
+                parent = mutant
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is DELETE:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                cfg.write_text(json.dumps({"seed": 42, "suites": [mutant]}))
+                what = f"{entry['name']} {list(path)} -> {'deleted' if value is DELETE else repr(value)}"
+                try:
+                    code = main(["suite", "--config", str(cfg), "--out", out])
+                except Exception as exc:  # any escape fails, naming its mutation
+                    pytest.fail(f"{what}: {type(exc).__name__}: {exc}")
+                err = capsys.readouterr().err.splitlines()
+                assert code in (0, 1, 2), (what, code)
+                assert code != 1 or (len(err) == 1 and err[0].startswith("error:")), (what, err)
+                runs += 1
+    assert runs > 2000
 
 
 def _strip_timing(doc):

@@ -90,7 +90,7 @@ def test_verify_gateaux_power_schwartz():
     w = verify_gateaux(P2, GAUSS, XGAUSS, L, [((0,), (0,))], 0.1)
     assert w.passed and w.delta > 0
     # residual at t is t * sup(x^2 e^{-2x^2}); check the first point
-    t, r = [(t, r) for t, r in w.schedule if t == Fraction(1, 10)][0]
+    r = [s.value for s in w.schedule if s.input == Fraction(1, 10)][0]
     want = 0.1 * XGAUSS.mul(XGAUSS).sup_abs()
     assert r == pytest.approx(want, rel=1e-12)
 
@@ -99,7 +99,7 @@ def test_verify_gateaux_wrong_candidate_fails():
     w = verify_gateaux(P2, GAUSS, XGAUSS, IdentityScaled(0, SCH), [((0,), (0,))], 0.1)
     assert not w.passed
     # the residual tends to |2 f v|, not 0
-    tail = [r for t, r in w.schedule if abs(t) <= Fraction(1, 10**6)]
+    tail = [s.value for s in w.schedule if abs(s.input) <= Fraction(1, 10**6)]
     want = GAUSS.mul(XGAUSS).scale(2).sup_abs()
     for r in tail:
         assert r == pytest.approx(want, rel=1e-4)
@@ -205,7 +205,7 @@ def test_verify_frechet_dz_exact_zero():
     rng = random.Random(4)
     w = verify_frechet(Q2, ONE, [1, 2], 0.1, rng=rng, n_samples=40)
     assert w.passed
-    assert all(r == 0.0 for _, r in w.dz_samples)
+    assert all(s.value == 0.0 for s in w.dz_samples)
 
 
 def test_verify_frechet_wrong_candidate_fails():
@@ -286,7 +286,7 @@ def test_linear_kinds_have_exactly_zero_frechet_residuals():
             xbar, J = o.domain.random_direction(rng), [1, 2, 3]
         w = verify_frechet(o, xbar, J, 0.1, rng=random.Random(3), n_samples=20)
         assert w.passed and w.recipe == "linear-exact"
-        assert all(r == 0.0 for _, r in w.dz_samples), o.describe()
+        assert all(s.value == 0.0 for s in w.dz_samples), o.describe()
         assert all(r == 0.0 for _, _, r in w.dr_samples), o.describe()
 
 
@@ -351,7 +351,7 @@ def test_wrong_candidate_on_a_linear_kind_fails_both_verdicts():
     w = verify_frechet(fourier, GAUSS, J, 0.1, L=wrong, rng=random.Random(5), n_samples=20)
     assert not w.passed and max(r for _, _, r in w.dr_samples) > 0.1
     g = verify_gateaux(fourier, GAUSS, XGAUSS, fourier, J, 0.1)
-    assert g.passed and all(r == 0 for _, r in g.schedule)
+    assert g.passed and all(s.value == 0 for s in g.schedule)
     w = verify_frechet(fourier, GAUSS, J, 0.1, L=fourier, rng=random.Random(5), n_samples=20)
     assert w.passed and all(r == 0 for _, _, r in w.dr_samples)
 
@@ -487,7 +487,7 @@ def test_continuity_samples_never_read_a_rounded_away_point():
         for x0 in (SeqElement([1]), SeqElement([4, 1])):
             for eps in (0.1, 0.01):
                 w = continuity_verify(o, x0, [1, 2], eps, rng=random.Random(3), n_samples=400)
-                zeros = [r for _, r in w.samples if r == 0.0]
+                zeros = [s.value for s in w.samples if s.value == 0.0]
                 assert w.passed and not zeros, (m, x0, eps, len(zeros))
 
 
@@ -570,8 +570,8 @@ def test_continuity_witness_writes_x0_plus_u_for_the_stored_samples():
         w = continuity_verify(o, x0, J, 0.1, rng=random.Random(4), n_samples=130 if dom is not SCH else 12)
         doc = w.to_json(dom)
         stored = w.samples[:100]
-        assert json.dumps([s["x"] for s in doc["samples"]]) == json.dumps([dom.element_to_json(dom.add(x0, u)) for u, _ in stored])
-        assert [s["image_residual"] for s in doc["samples"]] == [float(r) for _, r in stored]
+        assert json.dumps([s["x"] for s in doc["samples"]]) == json.dumps([dom.element_to_json(dom.add(x0, s.input)) for s in stored])
+        assert [s["image_residual"] for s in doc["samples"]] == [float(s.value) for s in stored]
         assert doc["n_samples"] == len(w.samples) and all(s["x"] is None for s in w.to_json()["samples"])
 
 
