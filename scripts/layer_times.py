@@ -7,7 +7,9 @@ From the root of a checkout; the script imports fsemcalc from the
 checkout's src/.  It prints one JSON object with the median of N timed
 calls (time.perf_counter, seconds) of:
 
-* ``GaussPolyFn.sup_abs`` on a one-, a two- and a twelve-group function;
+* ``GaussPolyFn.sup_abs`` on a one-, a two- and a twelve-group function,
+  and on the Fourier transform of the two-group one (complex coefficients,
+  two groups);
 * ``rootfind.real_roots`` at degree 8, 16 and 24;
 * one Schwartz ``seminorms.family_max`` over {(0,0), (0,1)}.
 
@@ -43,6 +45,10 @@ def one_group():
 
 def two_groups():
     return function([(Fraction(1), {0: Fraction(1), 1: Fraction(2, 3)}), (Fraction(1, 2), {2: Fraction(-5, 2), 3: Fraction(1)})])
+
+
+def two_groups_fourier():
+    return two_groups().fourier()
 
 
 def twelve_groups():
@@ -95,7 +101,12 @@ def main(argv=None):
         "repeat": args.repeat,
         "sup_abs_s": {
             name: median_time(lambda f: f.sup_abs(), cold(build), args.repeat)
-            for name, build in (("1-group", one_group), ("2-group", two_groups), ("12-group", twelve_groups))
+            for name, build in (
+                ("1-group", one_group),
+                ("2-group", two_groups),
+                ("2-group-fourier", two_groups_fourier),
+                ("12-group", twelve_groups),
+            )
         },
         "real_roots_s": {
             f"degree-{d}": median_time(rootfind.real_roots, lambda d=d: polynomial(d), args.repeat) for d in (8, 16, 24)

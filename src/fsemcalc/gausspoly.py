@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import multiindex as mi
-from .rootfind import real_roots_many, zoom_max
+from .rootfind import real_roots_many
 
 __all__ = ["SparsePoly", "GaussPolyTerm", "GaussPolyFn", "leibniz_expand", "leibniz_summands"]
 
@@ -472,9 +472,11 @@ class GaussPolyFn:
         can move the maximum off every per-group critical point, so a
         513-point guard grid over the region where the envelope is
         non-negligible (:func:`_guard_grid`) is evaluated in numpy and each
-        of its local maxima is refined by a vectorised zoom
-        (:func:`rootfind.zoom_max`).  The multi-group value is a
-        grid-guarded estimate, not a certified bound.  The points come from
+        of its local maxima is refined by scalar Newton steps
+        (:func:`_newton_peak`); a grid point whose refined point is not
+        clearly higher stays a candidate, so the value is at least the
+        grid's.  The multi-group value is a grid-guarded estimate, not a
+        certified bound.  The points come from
         f divided by its largest coefficient and are memoized on it
         (:func:`_unit_candidates`), so the value depends on f alone, not on
         which suprema ran before.
@@ -589,7 +591,7 @@ def _magnitudes(re, im):
 
 
 def _eval_rows(rows, xs):
-    """f at every point of the float array xs, for the n = 1 function whose
+    """f at every point of the 1-D float array xs, for the n = 1 function whose
     terms have the Horner rows ``rows`` (at least one (a, re_desc, im_desc),
     as :meth:`GaussPolyTerm.flat1` gives them): the vectorised
     :meth:`GaussPolyFn._eval1`, a real array when every coefficient is real.
@@ -608,8 +610,7 @@ def _eval_rows(rows, xs):
     for row, k in enumerate(cplx):
         im[row, width - len(rows[k][2]):] = rows[k][2]
     neg_a = -np.array([[a] for a, _, _ in rows])
-    xs = np.asarray(xs)
-    x = xs.reshape(-1)
+    x = np.asarray(xs)
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(neg_a * (x * x))
         v = _horner(re, x)
@@ -622,7 +623,7 @@ def _eval_rows(rows, xs):
             terms = terms.astype(complex)
             terms[cplx] = np.where(e[cplx] == 0.0, 0.0, vc * e[cplx])
         # a reduction over the first axis adds the rows in order
-        return np.add.reduce(terms, axis=0).reshape(xs.shape)
+        return np.add.reduce(terms, axis=0)
 
 
 def _guard_grid(rows):
@@ -651,14 +652,23 @@ def _guard_grid(rows):
     return np.linspace(-r, r, 513)
 
 
+def _gauss_diff(a, asc):
+    """Ascending coefficients of q' - 2 a x q, the polynomial factor of
+    (q e^{-a x^2})', from the ascending coefficients asc of q."""
+    out = [i * v for i, v in enumerate(asc)][1:] + [0.0, 0.0]
+    for i, v in enumerate(asc):
+        out[i + 1] -= 2.0 * a * v
+    return out
+
+
 def _critical_points(rows):
     """0 and the critical points of each term f_k = q_k e^{-a_k x^2} of the
     n = 1 function with Horner rows ``rows``, from one polynomial per term;
     all terms' roots come from one :func:`rootfind.real_roots_many` call.
 
-    Real q: the roots of q' - 2 a x q, the polynomial part of f_k' (see
-    :meth:`GaussPolyFn.diff1`).  Complex q: the roots of the polynomial
-    factor of d/dx |f_k|^2.
+    Real q: the roots of q' - 2 a x q, the polynomial part of f_k'
+    (:func:`_gauss_diff`).  Complex q: the roots of the polynomial factor of
+    d/dx |f_k|^2.
     """
 
     def pad_add(a, b):
@@ -676,7 +686,7 @@ def _critical_points(rows):
     for a, re_desc, im_desc in rows:
         re = re_desc[::-1]
         if not im_desc:
-            polys.append(pad_add(ascending_diff(re), [0.0] + [-2.0 * a * v for v in re]))
+            polys.append(_gauss_diff(a, re))
             continue
         # d/dx |q e^{-a x^2}|^2 has polynomial factor
         #   re*re' + im*im' - 2 a x (re^2 + im^2)
@@ -686,6 +696,78 @@ def _critical_points(rows):
         shifted = [0.0] + [-2.0 * a * v for v in sq]
         polys.append(pad_add(s, shifted))
     return [0.0] + [x for roots in real_roots_many(polys) for x in roots]
+
+
+# Newton steps per guard-grid peak: from the vertex of the grid's parabola a
+# step or three reach the step tolerance; where the grid under-resolves a
+# narrow decay group, midpoints of the shrinking bracket lead the steps in,
+# and the cap only ends a stray run.
+# A grid point stays a candidate beside its refined point unless that is
+# higher by more than _KEEP_GRID_MARGIN relative: the two values come from
+# math.exp and np.exp on the normalized rows, and sup_abs evaluates f itself
+_NEWTON_STEPS = 8
+_NEWTON_XTOL = 1e-13
+_KEEP_GRID_MARGIN = 1e-12
+
+
+def _derivative_rows(rows):
+    """(a, triples) per term (a, re, im) of rows: the descending
+    coefficients (q, q_1, q_2) of q = re + i im, of q_1 = q' - 2 a x q and
+    of q_2, the same map of q_1 (:func:`_gauss_diff`), so that f' and f''
+    are the sums of q_1 e^{-a x^2} and q_2 e^{-a x^2}.  q and q_1 are padded
+    with leading zeros to the length of q_2, which leave their Horner values
+    as they are; a real q keeps float coefficients."""
+    out = []
+    for a, re, im in rows:
+        q = list(map(complex, re, im)) if im else list(re)
+        q1 = _gauss_diff(a, q[::-1])
+        q2 = _gauss_diff(a, q1)
+        out.append((a, list(zip([0.0, 0.0] + q, [0.0] + q1[::-1], q2[::-1]))))
+    return out
+
+
+def _newton_peak(drows, x, lo, hi):
+    """A local maximum x of |f| in [lo, hi], refined from the start x, and
+    |f(x)|, for the function with :func:`_derivative_rows` ``drows``.
+
+    Newton steps x <- x - g / g' on g = Re(conj(f) f'), half the derivative
+    of |f|^2, with g' = |f'|^2 + Re(conj(f) f'').  The sign of g at each
+    point shrinks the bracket [lo, hi] towards the maximum; where g' >= 0
+    (no maximum ahead) or the step would leave the bracket, the next point
+    is the bracket's midpoint.  It stops at a step of at most
+    1e-13 (1 + |x|), which is not taken, or after _NEWTON_STEPS steps.  f is
+    evaluated with ``math.exp``, as :meth:`GaussPolyFn._eval1` evaluates it.
+    """
+    for k in range(_NEWTON_STEPS + 1):
+        f = f1 = f2 = 0.0
+        for a, triples in drows:
+            e = math.exp(-a * x * x)
+            if e == 0.0:
+                continue
+            v = v1 = v2 = 0.0
+            for c, c1, c2 in triples:
+                v = v * x + c
+                v1 = v1 * x + c1
+                v2 = v2 * x + c2
+            f += v * e
+            f1 += v1 * e
+            f2 += v2 * e
+        if k == _NEWTON_STEPS:
+            break
+        g = (f.conjugate() * f1).real
+        curve = abs(f1) ** 2 + (f.conjugate() * f2).real
+        # g > 0: |f| rises at x, so the maximum lies to its right
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        nxt = 0.5 * (lo + hi)
+        if curve < 0.0 and lo <= x - g / curve <= hi:
+            nxt = x - g / curve
+        if abs(nxt - x) <= _NEWTON_XTOL * (1.0 + abs(x)):
+            break
+        x = nxt
+    return x, abs(f)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -703,10 +785,23 @@ def _unit_candidates(key):
         grid = _guard_grid(key)
         vals = np.abs(_eval_rows(key, grid))
         mid = vals[1:-1]
-        peaks = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid > 0.0))
+        peaks = np.flatnonzero((mid >= vals[:-2]) & (mid >= vals[2:]) & (mid > 0.0)) + 1
         if peaks.size:
-            refined = zoom_max(lambda xs: np.abs(_eval_rows(key, xs)), grid[peaks], grid[peaks + 2])
-            cands.extend(refined.tolist())
+            # start each Newton pass at the vertex of the parabola through
+            # the three grid values around the peak
+            left, top, right = vals[peaks - 1], vals[peaks], vals[peaks + 1]
+            curve = left - 2.0 * top + right
+            half = 0.5 * (grid[1] - grid[0])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                starts = np.where(curve < 0.0, grid[peaks] + half * (left - right) / curve, grid[peaks])
+            drows = _derivative_rows(key)
+            for i, x0, peak in zip(peaks.tolist(), starts.tolist(), top.tolist()):
+                x, value = _newton_peak(drows, x0, float(grid[i - 1]), float(grid[i + 1]))
+                cands.append(x)
+                # the grid point stays a candidate unless the refined point
+                # is clearly higher, so no supremum falls below its guard grid
+                if value <= peak * (1.0 + _KEEP_GRID_MARGIN):
+                    cands.append(float(grid[i]))
     seen = set()
     uniq = []
     for c in cands:

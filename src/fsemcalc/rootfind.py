@@ -15,9 +15,8 @@ alone: the result is a refined estimate, not a certified enclosure.
 
 Coefficient lists are ascending: p(x) = c[0] + c[1] x + ... + c[d] x^d.
 
-Maximization: :func:`zoom_max` refines many brackets at once with one
-vectorised evaluation per round; :func:`ternary_max` is the scalar
-golden-section search for a single bracket.
+Maximization: :func:`ternary_max` is a scalar golden-section search for a
+single bracket.  No supremum calls it; the benchmark tracer looks it up.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 
 import numpy as np
 
-__all__ = ["real_roots", "real_roots_many", "poly_eval", "poly_diff", "ternary_max", "zoom_max"]
+__all__ = ["real_roots", "real_roots_many", "poly_eval", "poly_diff", "ternary_max"]
 
 _XTOL = 1e-13
 # companion eigenvalues with |imag| <= _IMAG_TOL (1 + |real|) are kept as
@@ -195,34 +194,3 @@ def ternary_max(fn, lo: float, hi: float) -> float:
             d = a + invphi * (b - a)
             fd = fn(d)
     return 0.5 * (a + b)
-
-
-# zoom_max: 65 points per bracket shrink it 32x per round, so a guard-grid
-# bracket reaches the tolerance in about four rounds; an argmax that is off
-# by 1e-9 relative moves |f| only at second order near a smooth maximum
-_ZOOM_POINTS = 65
-_ZOOM_XTOL = 1e-9
-_ZOOM_T = np.linspace(0.0, 1.0, _ZOOM_POINTS)
-
-
-def zoom_max(fn, lo, hi):
-    """Argmaxes of fn on every bracket [lo[k], hi[k]] at once.
-
-    fn takes an array of points and returns the values at them, elementwise.
-    Each round evaluates 65 equally spaced points in every bracket in one
-    call and keeps one spacing either side of each bracket's argmax, so the
-    brackets shrink 32x per round.  It stops when every spacing is at most
-    1e-9 * (1 + |x|) at that bracket's argmax x.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    rows = np.arange(lo.size)
-    while True:
-        width = hi - lo
-        xs = lo[:, None] + width[:, None] * _ZOOM_T
-        k = fn(xs).argmax(axis=1)
-        x = xs[rows, k]
-        if (width <= (_ZOOM_POINTS - 1) * _ZOOM_XTOL * (1.0 + np.abs(x))).all():
-            return x
-        lo = xs[rows, np.maximum(k - 1, 0)]
-        hi = xs[rows, np.minimum(k + 1, _ZOOM_POINTS - 1)]

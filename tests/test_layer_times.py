@@ -11,7 +11,7 @@ def test_layer_times_prints_every_median():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["repeat"] == 2
-    assert set(doc["sup_abs_s"]) == {"1-group", "2-group", "12-group"}
+    assert set(doc["sup_abs_s"]) == {"1-group", "2-group", "2-group-fourier", "12-group"}
     assert set(doc["real_roots_s"]) == {"degree-8", "degree-16", "degree-24"}
     assert set(doc["family_max_s"]) == {"(0,0),(0,1)"}
     times = [t for group in ("sup_abs_s", "real_roots_s", "family_max_s") for t in doc[group].values()]

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 
 from fsemcalc import rootfind
-from fsemcalc.rootfind import _XTOL, poly_diff, poly_eval, real_roots, real_roots_many, ternary_max, zoom_max
+from fsemcalc.rootfind import _XTOL, poly_diff, poly_eval, real_roots, real_roots_many, ternary_max
 
 
 def poly_from_roots(roots):
@@ -151,21 +151,3 @@ def test_ternary_max():
     assert abs(x - 0.3) < 1e-10
     x = ternary_max(lambda t: math.cos(t), -1.0, 1.0)
     assert abs(x) < 1e-6  # flat maximum: x-accuracy ~ sqrt(machine eps)
-
-
-def test_zoom_max_several_brackets_match_ternary():
-    # -sin(x)^2 peaks at every k*pi; asymmetric brackets around six of them
-    # are refined together, each round evaluating every bracket in one call
-    lo = [k * math.pi - 0.4 for k in range(-2, 4)]
-    hi = [k * math.pi + 0.7 for k in range(-2, 4)]
-    shapes = []
-
-    def fn(xs):
-        shapes.append(xs.shape)
-        return -np.sin(xs) ** 2
-
-    got = zoom_max(fn, lo, hi)
-    assert all(shape[0] == len(lo) for shape in shapes)
-    for x, a, b in zip(got, lo, hi):
-        want = ternary_max(lambda t: -math.sin(t) ** 2, a, b)
-        assert abs(x - want) < 1e-9
