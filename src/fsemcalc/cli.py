@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
-from .suites import MAX_COUNT, SUITE_KINDS, builtin_catalogue_config, run_config
+from .suites import load_config, read_config, run_config
 
 _KIND_BY_COMMAND = {
     "axioms": "axioms",
@@ -22,58 +21,6 @@ _KIND_BY_COMMAND = {
     "order": "order",
     "suite": None,
 }
-
-
-def _load_config(path):
-    if path is None:
-        return builtin_catalogue_config()
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_float_sized_int)
-
-
-def _reject_constant(name):
-    # the report echoes the config, and strict JSON has no NaN or Infinity
-    raise ValueError(f"non-finite number {name} is not valid JSON")
-
-
-def _finite_float(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"number {text} overflows to {value}")
-    return value
-
-
-def _float_sized_int(text):
-    if not math.isfinite(float(text)):  # suites turn numeric params into floats
-        raise ValueError(f"integer of {len(text)} digits overflows a float")
-    return int(text)
-
-
-def _validate(config) -> str | None:
-    if not isinstance(config, dict):
-        return "config must be a JSON object"
-    if "seed" not in config:
-        return "config field 'seed' is required (determinism contract)"
-    suites = config.get("suites")
-    if not isinstance(suites, list):
-        return "config field 'suites' must be a list"
-    for i, e in enumerate(suites):
-        if not isinstance(e, dict):
-            return f"suites[{i}] must be a JSON object"
-        if not isinstance(e.get("name"), str):
-            return f"suites[{i}]: field 'name' is required and must be a string"
-        if e.get("kind") not in SUITE_KINDS:
-            return f"suites[{i}] ({e.get('name')}): field 'kind' must be one of {SUITE_KINDS}"
-        for field in ("params", "point", "direction"):
-            if not isinstance(e.get(field, {}), dict):
-                return f"suites[{i}] ({e.get('name')}): field '{field}' must be a JSON object"
-        # a sample or draw count is a JSON integer: 2.5 or true is no count
-        params = e.get("params", {})
-        for where, field in ((params, "n_samples"), (params, "budget"), (e, "budget")):
-            value = where.get(field, 0)
-            if isinstance(value, bool) or not isinstance(value, int) or value > MAX_COUNT:
-                return f"suites[{i}] ({e['name']}): field '{field}' must be an integer <= {MAX_COUNT}, got {value!r}"
-    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,23 +49,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = load_config(args.config)
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return 1
-    problem = _validate(config)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
 
     kind = _KIND_BY_COMMAND[args.command]
-    if args.list:
-        for e in config["suites"]:
-            if kind is None or e["kind"] == kind:
-                print(f"{e['name']}  [{e['kind']}]")
-        return 0
-
     try:
+        if args.list:
+            for s in read_config(config):
+                if kind is None or s.kind == kind:
+                    print(f"{s.name}  [{s.kind}]")
+            return 0
         report = run_config(config, seed_override=args.seed, name_filter=args.suite, kind_filter=kind)
     except (LookupError, ValueError, TypeError) as exc:  # LookupError: also NoRecipeError
         print(f"error: bad config: {exc}", file=sys.stderr)
@@ -136,8 +78,12 @@ def main(argv=None) -> int:
     out_path = args.out or config.get("out")
     text = json.dumps(report, indent=2, default=str, allow_nan=False)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 1
     else:
         print(text)
     for r in report["suites"]:

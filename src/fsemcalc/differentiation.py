@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import multiindex as mi
-from .gausspoly import _is_exact, _is_number
+from .gausspoly import _config_choice, _is_exact, _is_number
 from .operators import (
     Diagonal,
     IdentityScaled,
@@ -342,18 +342,23 @@ def _dr_targets(delta: float, rng, n: int):
     return targets[:n]
 
 
-def _resolve_delta(delta_source, recipe_fn, dom):
-    """(I, delta, recipe, source) for a delta_source: an explicit (I, delta)
-    pair (tuple or 2-item list), "constructive" (recipe_fn() must succeed),
-    "auto" (recipe_fn(), else search) or "searched"; I = None means search."""
+def _read_delta_source(delta_source, dom):
+    """delta_source checked: "auto", "constructive", "searched", or an
+    explicit (I, delta) pair (tuple or 2-item list), returned as a tuple
+    with I a nonempty IndexSet of dom and delta a finite number > 0."""
     if isinstance(delta_source, (tuple, list)) and len(delta_source) == 2:
-        I, delta = delta_source
-        I = index_set(dom, I)
-        if not I.ids:
-            raise ValueError("explicit delta_source needs a nonempty index set I")
-        _check_positive("explicit delta", delta)
-        return I, delta, "explicit", "explicit"
-    if delta_source in ("auto", "constructive"):
+        return index_set(dom, delta_source[0]), _check_positive("explicit delta", delta_source[1])
+    return _config_choice(delta_source, "delta_source", ("auto", "constructive", "searched"))
+
+
+def _resolve_delta(delta_source, recipe_fn, dom):
+    """(I, delta, recipe, source) for a delta_source (_read_delta_source): an
+    explicit (I, delta), "constructive" (recipe_fn() must succeed), "auto"
+    (recipe_fn(), else search) or "searched"; I = None means search."""
+    delta_source = _read_delta_source(delta_source, dom)
+    if isinstance(delta_source, tuple):
+        return *delta_source, "explicit", "explicit"
+    if delta_source != "searched":
         try:
             I, delta, recipe = recipe_fn()
         except NoRecipeError:
@@ -363,16 +368,15 @@ def _resolve_delta(delta_source, recipe_fn, dom):
             # a recipe's delta underflows to 0 or overflows at extreme data
             _check_positive(f"the {recipe} recipe's delta", delta)
             return I, delta, recipe, "constructive"
-    elif delta_source != "searched":
-        raise ValueError(f"unknown delta_source {delta_source!r}: expected auto, constructive, searched or [I, delta]")
     return None, None, "searched", "searched"
 
 
 def _check_positive(name, value):
-    """Refuse a verdict that could not mean anything: value must be a
-    finite number > 0, and a bool or a string is no number."""
+    """value, refused when a verdict with it could not mean anything: it
+    must be a finite number > 0, and a bool or a string is no number."""
     if not _is_number(value) or not 0 < value < math.inf:
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return value
 
 
 def _sample_loop(op, x, J, epsilon, delta_source, rng, n_samples, numerator, divide: bool):

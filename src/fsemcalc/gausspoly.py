@@ -120,6 +120,34 @@ def _config_int(v, what: str, lo: int, hi: int) -> int:
     return v
 
 
+def _config_number(v, what: str, inexact: bool = False):
+    """v as a config number: an exact string as its Fraction, a JSON number
+    as itself (a float when inexact); a bool or any other value is refused."""
+    if isinstance(v, str):
+        return _exact_from_json(v)
+    if not _is_number(v):
+        raise ValueError(f"{what} must be a number or an exact string, got {v!r:.80}")
+    return float(v) if inexact else v
+
+
+def _config_object(doc, what: str, keys) -> dict:
+    """doc as a JSON object whose keys are among keys: a misspelt key is
+    refused, not left to run as its default."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r:.80}")
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"{what} has the unknown key {key!r}; it takes {', '.join(keys) or 'none'}")
+    return doc
+
+
+def _config_choice(v, what: str, choices) -> str:
+    """v when it is one of the names in choices, else refused."""
+    if not isinstance(v, str) or v not in choices:
+        raise ValueError(f"unknown {what} {v!r:.80}: expected one of {', '.join(choices)}")
+    return v
+
+
 def _creal(c):
     return c.real if isinstance(c, complex) else c
 
@@ -521,20 +549,15 @@ class GaussPolyFn:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GaussPolyFn":
-        def num(v):
-            if isinstance(v, bool):  # float(True) would run a decay of true as 1.0
-                raise ValueError(f"a function's decay or coefficient must be a number or an exact string, got {v!r}")
-            return _exact_from_json(v) if isinstance(v, str) else float(v)
-
-        # int() would run n = 1.9 as 1 and x^1.5 as x
+        # int() would run n = 1.9 as 1 and x^1.5 as x, float() a decay of true as 1.0
         n = _config_int(doc["n"], "a function's n", 1, MAX_ORDER)
         terms = []
         for t in doc["terms"]:
-            decay = tuple(num(a) for a in t["decay"])
+            decay = tuple(_config_number(a, "a function's decay", True) for a in t["decay"])
             poly = {}
             for m in t["poly"]:
-                re = num(m["re"])
-                im = num(m["im"])
+                re = _config_number(m["re"], "a function's coefficient", True)
+                im = _config_number(m["im"], "a function's coefficient", True)
                 if im == 0:
                     c = re
                 else:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import multiindex as mi
-from .gausspoly import MAX_ORDER, GaussPolyFn, _cmul, _config_int, _is_exact, _is_number
+from .gausspoly import MAX_ORDER, GaussPolyFn, _cmul, _config_choice, _config_int, _config_object, _is_exact, _is_number
 from .seminorms import CheckReport, index_set
 from .spaces import SchwartzSpace, SeqElement, SigmaRhoSpace, SSpace, space_from_json
 
@@ -46,7 +46,9 @@ __all__ = [
     "seminorm_bound",
 ]
 
-LINEAR_KINDS = {"identity", "scale", "diff", "mult", "monomial", "fourier", "inv_fourier"}
+# the params each kind takes; every kind but power, cross_power and poly is linear
+KIND_PARAMS = {"identity": (), "scale": ("a",), "diff": ("gamma",), "mult": ("g",), "monomial": ("lam",), "fourier": (),
+               "inv_fourier": (), "power": ("m",), "cross_power": ("m",), "poly": ("coeffs",)}
 SCHWARTZ_ONLY = {"diff", "mult", "monomial", "fourier", "inv_fourier"}
 
 
@@ -60,6 +62,7 @@ class Operator:
     def __post_init__(self):
         k = self.kind
         dom, cod = self.domain, self.codomain
+        _config_choice(k, "operator kind", KIND_PARAMS)
         if k in SCHWARTZ_ONLY and not (isinstance(dom, SchwartzSpace) and isinstance(cod, SchwartzSpace)):
             raise ValueError(f"{k} is a Schwartz-space operator")
         if k == "cross_power":
@@ -68,9 +71,7 @@ class Operator:
         elif dom is not None and cod is not None and dom.tag != cod.tag:
             raise ValueError(f"{k} maps a space to itself")
         if k in ("power", "cross_power"):
-            m = self.params.get("m")
-            if type(m) is not int or m < 1:
-                raise ValueError(f"{k} requires an integer m >= 1, got {m!r}")
+            _config_int(self.params.get("m"), f"{k}'s m", 1, MAX_ORDER)
         if k == "scale" and not _is_number(self.params.get("a")):
             raise ValueError(f"scale requires a number a, got {self.params.get('a')!r}")
         coeffs = self.params.get("coeffs")
@@ -90,7 +91,7 @@ class Operator:
     @property
     def is_linear(self) -> bool:
         a = self.coeffs
-        return self.kind in LINEAR_KINDS if a is None else len(a) == 1
+        return a is None or len(a) == 1
 
     def apply(self, x):
         k = self.kind
@@ -123,9 +124,7 @@ class Operator:
             return x.monomial_mul(self.params["lam"])
         if k == "fourier":
             return x.fourier()
-        if k == "inv_fourier":
-            return x.inv_fourier()
-        raise ValueError(f"unknown operator kind {k!r}")
+        return x.inv_fourier()
 
     def taylor_remainder(self, xbar) -> "TaylorExpansion":
         """The Taylor expansion of T at xbar, built once and read by the
@@ -179,17 +178,20 @@ class Operator:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Operator":
+        """The operator of {"kind", "params", "domain", "codomain"}, with the
+        params of KIND_PARAMS[kind]; params default to {} and the codomain to
+        the domain."""
+        doc = _config_object(doc, "an operator", ("kind", "params", "domain", "codomain"))
+        kind = _config_choice(doc["kind"], "operator kind", KIND_PARAMS)
+        params = dict(_config_object(doc.get("params", {}), f"a {kind} operator's params", KIND_PARAMS[kind]))
         dom = space_from_json(doc["domain"])
         cod = space_from_json(doc.get("codomain", doc["domain"]))
-        params = dict(doc.get("params", {}))
         if "g" in params:
             params["g"] = GaussPolyFn.from_json(params["g"])
-        if "m" in params:
-            _config_int(params["m"], "an operator's m", 1, MAX_ORDER)
         for key in ("gamma", "lam"):
             if key in params:
                 params[key] = tuple(_config_int(e, f"an operator's {key} entry", 0, MAX_ORDER) for e in params[key])
-        return cls(doc["kind"], params, dom, cod)
+        return cls(kind, params, dom, cod)
 
 
 # ---------------------------------------------------------------------------

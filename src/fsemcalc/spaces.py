@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import multiindex as mi
-from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _exact_from_json, _is_number, _json_num
+from .gausspoly import GaussPolyFn, GaussPolyTerm, SparsePoly, _cadd, _cmul, _config_choice, _config_number, _config_object, _json_num
 from .seminorms import f_norm
 
 __all__ = [
@@ -117,15 +117,8 @@ class SeqElement:
         numbers or exact strings; any other document is refused."""
         if not (isinstance(doc, dict) and doc.keys() == {"prefix", "tail"} and isinstance(doc["prefix"], list)):
             raise ValueError(f"a sequence must be {{'prefix': [...], 'tail': t}}, got {doc!r:.80}")
-
-        def num(v):
-            if isinstance(v, str):
-                return _exact_from_json(v)
-            if not _is_number(v):
-                raise ValueError(f"a sequence entry must be a number or an exact string, got {v!r:.80}")
-            return v
-
-        return cls([num(v) for v in doc["prefix"]], num(doc["tail"]))
+        prefix = [_config_number(v, "a sequence entry") for v in doc["prefix"]]
+        return cls(prefix, _config_number(doc["tail"], "a sequence entry"))
 
     def __repr__(self):
         return f"SeqElement({list(self.prefix)!r}, tail={self.tail!r})"
@@ -221,7 +214,7 @@ class SigmaRhoSpace(_SequenceSpaceBase):
     """sigma_rho: finite-support sequences, |x|_{rho,k} = |t_k|^rho."""
 
     def __init__(self, rho):
-        rho = _exact_from_json(rho) if isinstance(rho, str) else rho
+        rho = _config_number(rho, "rho")
         if not (0 < float(rho) < 1):
             raise ValueError(f"rho must satisfy 0 < rho < 1, got {rho}")
         self.rho = float(rho)
@@ -456,14 +449,16 @@ class SchwartzSpace(_SpaceBase):
 
 
 def space_from_json(doc: dict):
-    kind = doc["space"]
+    """The space of {"space": "schwartz", "n": 1} (n optional), {"space":
+    "sigma_rho", "rho": r} or {"space": "s"}; any other key is refused."""
+    doc = _config_object(doc, "a space", ("space", "n", "rho"))
+    kind = _config_choice(doc["space"], "space", ("schwartz", "sigma_rho", "s"))
     if kind == "schwartz":
-        return SchwartzSpace(doc.get("n", 1))
+        return SchwartzSpace(_config_object(doc, "a schwartz space", ("space", "n")).get("n", 1))
     if kind == "sigma_rho":
-        return SigmaRhoSpace(doc["rho"])
-    if kind == "s":
-        return SSpace()
-    raise ValueError(f"unknown space {kind!r}")
+        return SigmaRhoSpace(_config_object(doc, "a sigma_rho space", ("space", "rho"))["rho"])
+    _config_object(doc, "the space s", ("space",))
+    return SSpace()
 
 
 def sigma_inclusion_check(x: SeqElement, rho: float, gamma: float) -> dict:

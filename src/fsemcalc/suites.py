@@ -4,25 +4,30 @@ A config is one JSON document: {"seed": int, "suites": [entry...], "out":
 path}.  Every entry has a name, a kind (axioms | continuity | gateaux |
 frechet | order | identity), descriptors for the space/operator/point, and a
 params object (J indices, epsilon, sample budgets, optional candidate
-override, optional t schedule).  Suites run one after another in config
-order, each under a seed derived from its name, so a fixed seed yields an
-identical report up to wall-clock fields.
+override, optional t schedule).  Every entry is read and checked before any
+suite runs.  Suites run one after another in config order, each under a seed
+derived from its name, so a fixed seed yields an identical report up to
+wall-clock fields.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
 import zlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .differentiation import (
+    _check_positive,
+    _read_delta_source,
     continuity_verify,
     verify_frechet,
     verify_gateaux,
 )
-from .gausspoly import MAX_ORDER, GaussPolyFn, _config_int, _exact_from_json, _is_number, leibniz_summands
+from .gausspoly import MAX_ORDER, GaussPolyFn, _config_choice, _config_int, _config_number, _config_object, leibniz_summands
 from .operators import (
     Diagonal,
     IdentityScaled,
@@ -58,41 +63,54 @@ def derive_seed(base: int, name: str) -> int:
     return (int(base) ^ zlib.crc32(name.encode("utf-8"))) & 0x7FFFFFFF
 
 
-def _candidate_number(v):
-    """An exact string such as "1/2" as a Fraction (refused when too large
-    for a float), a number as itself."""
-    if not (isinstance(v, str) or _is_number(v)):
-        raise ValueError(f"candidate entry {v!r} is not a number")
-    return _exact_from_json(v) if isinstance(v, str) else v
+# the keys of each candidate form beside "form"
+CANDIDATE_KEYS = {"diagonal": ("prefix", "tail"), "identity_scaled": ("c",), "multiply_by": ("g",), "zero": ()}
 
 
 def linmap_from_json(space_cod, doc):
     """A candidate map on space_cod: diagonal on the sequence spaces,
     multiply_by on Schwartz space, identity_scaled or zero on any."""
-    form = doc["form"]
+    doc = _config_object(doc, "a candidate", ("form", "prefix", "tail", "c", "g"))
+    form = _config_choice(doc["form"], "candidate form", CANDIDATE_KEYS)
+    _config_object(doc, f"a {form} candidate", ("form",) + CANDIDATE_KEYS[form])
     if form in ("diagonal", "multiply_by") and (form == "multiply_by") != isinstance(space_cod, SchwartzSpace):
         raise ValueError(f"a {form!r} candidate does not fit the codomain {space_cod.tag}")
     if form == "diagonal":
-        prefix = tuple(map(_candidate_number, doc.get("prefix", [])))
-        return Diagonal(prefix, _candidate_number(doc.get("tail", 0)), space_cod)
+        prefix = tuple(_config_number(v, "a diagonal entry") for v in _config_list(doc.get("prefix", []), "prefix"))
+        return Diagonal(prefix, _config_number(doc.get("tail", 0), "a diagonal tail"), space_cod)
     if form == "identity_scaled":
-        return IdentityScaled(_candidate_number(doc.get("c", 1)), space_cod)
+        return IdentityScaled(_config_number(doc.get("c", 1), "c"), space_cod)
     if form == "multiply_by":
         return MultiplyBy(GaussPolyFn.from_json(doc["g"]), space_cod)
-    if form == "zero":
-        return IdentityScaled(0, space_cod)
-    raise ValueError(f"unknown linear map form {form!r}")
+    return IdentityScaled(0, space_cod)
+
+
+def _config_list(v, what: str, nonempty: bool = False) -> list:
+    """v as a config list, refused unless it is one (and nonempty if asked)."""
+    if not isinstance(v, list) or (nonempty and not v):
+        raise ValueError(f"{what} must be a {'nonempty ' if nonempty else ''}list, got {v!r:.80}")
+    return v
 
 
 def _sid_list(raw, field):
-    """params[field] as seminorm ids: JSON integers up to MAX_INDEX, or
+    """raw as seminorm ids: a list of JSON integers up to MAX_INDEX, or
     (Schwartz space) lists of them up to MAX_ORDER and of such lists, each
-    list made a tuple."""
-    def sid(s, limit):
+    list made a tuple; field names the list in a refusal."""
+    def sid(s, where, limit):
         if isinstance(s, list):
-            return tuple(sid(e, MAX_ORDER) for e in s)
-        return _config_int(s, f"{field}: seminorm id entry", 0, limit)
-    return [sid(s, MAX_INDEX) for s in raw]
+            return tuple(sid(e, f"{where}[{k}]", MAX_ORDER) for k, e in enumerate(s))
+        return _config_int(s, where, 0, limit)
+    return [sid(s, f"{field}[{k}]", MAX_INDEX) for k, s in enumerate(_config_list(raw, field))]
+
+
+def _at(path: str, read, *args):
+    """read(*args), with a refusal of it prefixed by the config path read."""
+    try:
+        return read(*args)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -203,62 +221,116 @@ IDENTITY_CASES = {
 # suite runner
 
 
-def _run_order_case(entry: dict, rng):
-    """One configured ordered-optimization case:
-    {"operator": ..., "point": ..., "claim": credit|max|min|increasing,
-     "directions": [...], "budget": int}."""
-    op = Operator.from_json(entry["operator"])
-    point = op.domain.element_from_json(entry["point"])
-    claim = entry.get("claim", entry.get("params", {}).get("claim", "credit"))
-    budget = entry.get("budget", entry.get("params", {}).get("budget", 100))
-    directions = [op.domain.element_from_json(d) for d in entry.get("directions", [])]
-    if claim == "credit":
-        if not directions:
-            directions = [op.domain.random_direction(rng) for _ in range(5)]
-        return is_credit_point(op, point, directions)
-    if claim in ("max", "min"):
-        if directions:
+# the keys that each kind reads on its entry and in its params; an order
+# suite names an operator for one case, or none for the order catalogue
+_WITH_OPERATOR = ("name", "kind", "operator", "point", "params")
+ENTRY_KEYS = {
+    "identity": (("name", "kind", "case"), ()),
+    "axioms": (("name", "kind", "space", "params"), ("ids", "n_samples")),
+    "order": (("name", "kind", "params"), ("budget",)),
+    "order case": (("name", "kind", "operator", "point", "claim", "budget", "directions"), ()),
+    "continuity": (_WITH_OPERATOR, ("J", "epsilon", "n_samples", "delta_source")),
+    "frechet": (_WITH_OPERATOR, ("J", "epsilon", "n_samples", "delta_source", "candidate")),
+    "gateaux": (_WITH_OPERATOR + ("direction",), ("J", "epsilon", "candidate", "t_schedule")),
+}
+
+
+def _read_entry(entry, i: int) -> SimpleNamespace:
+    """suites[i] read and checked, defaults filled in, as a namespace of all
+    that run_suite_entry needs: name, kind, op (None without an operator)
+    and the kind's own fields (ENTRY_KEYS).  A key that the kind does not
+    read is refused, as is every malformed value, by a ValueError naming
+    suites[i] and the field.  Nothing is drawn from an rng."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"suites[{i}] must be a JSON object, got {entry!r:.80}")
+    if not isinstance(entry.get("name"), str):
+        raise ValueError(f"suites[{i}]: field 'name' is required and must be a string")
+    return _at(f"suites[{i}] ({entry['name']})", _read_fields, entry)
+
+
+def _read_fields(entry: dict) -> SimpleNamespace:
+    kind = _config_choice(entry.get("kind"), "suite kind", SUITE_KINDS)
+    form = "order case" if kind == "order" and "operator" in entry else kind
+    entry_keys, param_keys = ENTRY_KEYS[form]
+    _config_object(entry, "the entry", entry_keys)
+    params = _config_object(entry.get("params", {}), "params", param_keys)
+    s = SimpleNamespace(name=entry["name"], kind=kind, op=None)
+    if kind == "identity":
+        s.case = _config_choice(entry.get("case", s.name), "identity case", IDENTITY_CASES)
+        return s
+    if kind == "axioms":
+        s.space = _at("space", space_from_json, entry["space"])
+        s.ids = _sid_list(params.get("ids", []), "params.ids") or s.space.enum_ids(1)
+        _at("params.ids", index_set, s.space, s.ids)  # each id names a seminorm of the space
+        s.n_samples = _config_int(params.get("n_samples", 200), "params.n_samples", 1, MAX_COUNT)
+        return s
+    if form == "order":
+        s.budget = _config_int(params.get("budget", 200), "params.budget", 1, MAX_COUNT)
+        return s
+    s.op = _at("operator", Operator.from_json, entry["operator"])
+    dom, cod = s.op.domain, s.op.codomain
+    s.point = _at("point", dom.element_from_json, entry["point"])
+    if form == "order case":
+        s.claim = _config_choice(entry.get("claim", "credit"), "order claim", ("credit", "max", "min", "increasing"))
+        s.budget = _config_int(entry.get("budget", 100), "budget", 1, MAX_COUNT)
+        directions = _config_list(entry.get("directions", []), "directions")
+        s.directions = [_at(f"directions[{k}]", dom.element_from_json, d) for k, d in enumerate(directions)]
+        return s
+    s.J = _at("params.J", index_set, cod, _sid_list(params["J"], "params.J"))
+    s.epsilon = _check_positive("params.epsilon", params.get("epsilon", 0.1))
+    s.candidate = _at("params.candidate", linmap_from_json, cod, params["candidate"]) if "candidate" in params else None
+    if kind == "gateaux":
+        s.direction = _at("direction", dom.element_from_json, entry["direction"])
+        s.t_schedule = None
+        if "t_schedule" in params:
+            ts = _config_list(params["t_schedule"], "params.t_schedule", nonempty=True)
+            # a JSON number t is the exact decimal it is written as
+            s.t_schedule = [Fraction(str(_config_number(t, f"params.t_schedule[{k}]"))) for k, t in enumerate(ts)]
+        return s
+    s.n_samples = _config_int(params.get("n_samples", 500), "params.n_samples", 1, MAX_COUNT)
+    source = params.get("delta_source", "auto")
+    if isinstance(source, list) and len(source) == 2:
+        source = (_sid_list(source[0], "params.delta_source[0]"), source[1])
+    s.delta_source = _at("params.delta_source", _read_delta_source, source, dom)
+    return s
+
+
+def _run_order_case(s: SimpleNamespace, rng):
+    """One configured ordered-optimization case: claim credit, max, min or
+    increasing of s.op at s.point, along s.directions or on budget draws."""
+    op, dom, point = s.op, s.op.domain, s.point
+    if s.claim == "credit":
+        return is_credit_point(op, point, s.directions or [dom.random_direction(rng) for _ in range(5)])
+    if s.claim in ("max", "min"):
+        if s.directions:
             ts = [Fraction(k, 4) for k in range(-4, 5) if k]
-            for v in directions:
-                r = check_directional_extremum(op, point, v, ts, claim)
+            for v in s.directions:
+                r = check_directional_extremum(op, point, v, ts, s.claim)
                 if not r.passed:
                     return r
             return r
-        samples = [op.domain.random_element(rng) for _ in range(budget)]
-        return check_absolute_extremum(op, point, samples, claim)
-    if claim == "increasing":
-        pairs = []
-        for _ in range(budget):
-            x = op.domain.random_element(rng).entrywise_map(abs)
-            bump = op.domain.random_element(rng).entrywise_map(abs)
-            pairs.append((x, x.add(bump)))
-        return check_order_increasing(op, pairs)
-    raise ValueError(f"unknown order claim {claim!r}")
+        return check_absolute_extremum(op, point, [dom.random_element(rng) for _ in range(s.budget)], s.claim)
+    pairs = []
+    for _ in range(s.budget):
+        x = dom.random_element(rng).entrywise_map(abs)
+        bump = dom.random_element(rng).entrywise_map(abs)
+        pairs.append((x, x.add(bump)))
+    return check_order_increasing(op, pairs)
 
 
-def run_suite_entry(entry: dict, seed: int) -> dict:
-    name = entry["name"]
-    kind = entry["kind"]
-    if kind not in SUITE_KINDS:
-        raise ValueError(f"suite {name!r}: unknown kind {kind!r}")
+def run_suite_entry(s: SimpleNamespace, seed: int) -> dict:
+    """The report of one suite read by _read_entry, run under seed."""
     rng = random.Random(seed)
-    params = entry.get("params", {})
     t0 = time.perf_counter()
 
-    if kind == "identity":
-        case = entry.get("case", name)
-        if case not in IDENTITY_CASES:
-            raise ValueError(f"suite {name!r}: unknown identity case {case!r}")
-        report = IDENTITY_CASES[case](rng)
+    if s.kind == "identity":
+        report = IDENTITY_CASES[s.case](rng)
         payload = report.to_json()
         passed = report.passed
-    elif kind == "axioms":
-        space = space_from_json(entry["space"])
-        sids = _sid_list(params.get("ids") or [], "ids") or space.enum_ids(1)
-        n = params.get("n_samples", 200)
-        per = max(1, n // len(sids))
-        reports = [axiom_report(space, sid, rng=rng, n_samples=per) for sid in sids]
-        sep = separating_check(space, rng=rng, n_samples=min(n, 200))
+    elif s.kind == "axioms":
+        per = max(1, s.n_samples // len(s.ids))
+        reports = [axiom_report(s.space, sid, rng=rng, n_samples=per) for sid in s.ids]
+        sep = separating_check(s.space, rng=rng, n_samples=min(s.n_samples, 200))
         passed = all(r.passed for r in reports) and sep.passed
         payload = {
             "kind": "axioms",
@@ -266,60 +338,25 @@ def run_suite_entry(entry: dict, seed: int) -> dict:
             "per_seminorm": [r.to_json() for r in reports],
             "separating": sep.to_json(),
         }
-    elif kind == "order":
-        if "operator" in entry:
-            report = _run_order_case(entry, rng)
-            payload = {"kind": "order", "passed": report.passed, "cases": [report.to_json()]}
-            passed = report.passed
-        else:
-            reports = credit_necessity_suite(rng, budget=params.get("budget", 200))
-            passed = all(r.passed for r in reports)
-            payload = {"kind": "order", "passed": passed, "cases": [r.to_json() for r in reports]}
+    elif s.kind == "order":
+        reports = [_run_order_case(s, rng)] if s.op is not None else credit_necessity_suite(rng, budget=s.budget)
+        passed = all(r.passed for r in reports)
+        payload = {"kind": "order", "passed": passed, "cases": [r.to_json() for r in reports]}
     else:
-        op = Operator.from_json(entry["operator"])
-        point = op.domain.element_from_json(entry["point"])
-        J = index_set(op.codomain, _sid_list(params["J"], "J"))
-        epsilon = params.get("epsilon", 0.1)
-        candidate = None
-        if "candidate" in params:
-            candidate = linmap_from_json(op.codomain, params["candidate"])
-        if kind == "frechet":
-            w = verify_frechet(
-                op,
-                point,
-                J,
-                epsilon,
-                L=candidate,
-                delta_source=params.get("delta_source", "auto"),
-                rng=rng,
-                n_samples=params.get("n_samples", 500),
-                seed=seed,
-            )
-            payload, passed = w.to_json(op.domain), w.passed
-        elif kind == "continuity":
-            w = continuity_verify(
-                op,
-                point,
-                J,
-                epsilon,
-                delta_source=params.get("delta_source", "auto"),
-                rng=rng,
-                n_samples=params.get("n_samples", 500),
-                seed=seed,
-            )
-            payload, passed = w.to_json(op.domain), w.passed
+        if s.kind == "frechet":
+            w = verify_frechet(s.op, s.point, s.J, s.epsilon, L=s.candidate, delta_source=s.delta_source, rng=rng,
+                               n_samples=s.n_samples, seed=seed)
+        elif s.kind == "continuity":
+            w = continuity_verify(s.op, s.point, s.J, s.epsilon, delta_source=s.delta_source, rng=rng,
+                                  n_samples=s.n_samples, seed=seed)
         else:  # gateaux
-            v = op.domain.element_from_json(entry["direction"])
-            sched = None
-            if "t_schedule" in params:
-                sched = [_exact_from_json(str(t)) for t in params["t_schedule"]]
-            w = verify_gateaux(op, point, v, candidate, J, epsilon, sched, seed=seed)
-            payload, passed = w.to_json(), w.passed
+            w = verify_gateaux(s.op, s.point, s.direction, s.candidate, s.J, s.epsilon, s.t_schedule, seed=seed)
+        payload, passed = w.to_json(s.op.domain), w.passed
 
     wall = time.perf_counter() - t0
     bad = []
     payload = _strings_for_nonfinite(payload, "witness", bad)
-    out = {"name": name, "kind": kind, "seed": seed, "passed": bool(passed) and not bad, "wall_clock_s": wall}
+    out = {"name": s.name, "kind": s.kind, "seed": seed, "passed": bool(passed) and not bad, "wall_clock_s": wall}
     if bad:
         more = f" (and {len(bad) - 1} more)" if len(bad) > 1 else ""
         out["reason"] = f"non-finite value at {bad[0]}{more}"
@@ -341,15 +378,56 @@ def _strings_for_nonfinite(doc, path: str, bad: list):
     return doc
 
 
+def load_config(path) -> dict:
+    """The JSON config at path, or the built-in catalogue when path is None."""
+    if path is None:
+        return builtin_catalogue_config()
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float, parse_int=_float_sized_int)
+
+
+def _reject_constant(name):
+    # the report echoes the config, and strict JSON has no NaN or Infinity
+    raise ValueError(f"non-finite number {name} is not valid JSON")
+
+
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows to {value}")
+    return value
+
+
+def _float_sized_int(text):
+    if not math.isfinite(float(text)):  # suites turn numeric params into floats
+        raise ValueError(f"integer of {len(text)} digits overflows a float")
+    return int(text)
+
+
+def read_config(config) -> list:
+    """Every suite of a config read (_read_entry), the filtered-out ones too,
+    so that a malformed config is refused before any suite runs.  Other top
+    level keys than seed, suites and out are free: the report echoes them."""
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    if type(config.get("seed")) is not int:
+        raise ValueError(f"config field 'seed' is required and must be a JSON integer, got {config.get('seed')!r:.80}")
+    if not isinstance(config.get("out", ""), str):
+        raise ValueError(f"config field 'out' must be a string, got {config['out']!r:.80}")
+    if not isinstance(config.get("suites"), list):
+        raise ValueError("config field 'suites' must be a list")
+    return [_read_entry(e, i) for i, e in enumerate(config["suites"])]
+
+
 def run_config(config: dict, seed_override=None, name_filter=None, kind_filter=None) -> dict:
-    seed = int(seed_override if seed_override is not None else config.get("seed", 0))
-    entries = list(config.get("suites", []))
+    suites = read_config(config)
+    seed = config["seed"] if seed_override is None else seed_override
     if name_filter:
-        entries = [e for e in entries if e["name"] == name_filter]
+        suites = [s for s in suites if s.name == name_filter]
     if kind_filter:
-        entries = [e for e in entries if e["kind"] == kind_filter]
+        suites = [s for s in suites if s.kind == kind_filter]
     t0 = time.perf_counter()
-    results = [run_suite_entry(e, derive_seed(seed, e["name"])) for e in entries]
+    results = [run_suite_entry(s, derive_seed(seed, s.name)) for s in suites]
     summary = {
         "total": len(results),
         "passed": sum(1 for r in results if r["passed"]),

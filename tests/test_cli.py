@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import fsemcalc
-from fsemcalc import suites
+from fsemcalc import gausspoly, suites
 from fsemcalc.cli import main
 from fsemcalc.seminorms import CheckReport
 from fsemcalc.suites import builtin_catalogue_config, run_config
@@ -81,6 +81,34 @@ def test_exit_one_on_malformed_config(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("seed", True), ("seed", "7"), ("out", []), ("out", True), ("out", 99)],
+    ids=["fractional-seed", "boolean-seed", "string-seed", "list-out", "boolean-out", "number-out"],
+)
+def test_exit_one_on_a_seed_or_out_of_another_type(tmp_path, capsys, field, value):
+    # 1.5 and true ran as seed 1 and "7" as 7 while the report echoed them as
+    # written; an out of [] was ignored, true wrote to fd 1, and 99 ended in
+    # an OSError traceback
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [], field: value})
+    assert main(["suite", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: bad config: config field '{field}'") and repr(value) in err[0]
+
+
+@pytest.mark.parametrize("where", ["option", "config"])
+def test_exit_one_when_the_report_cannot_be_written(tmp_path, capsys, where):
+    # a report path in a missing directory ended in a traceback
+    missing = str(tmp_path / "no-such-dir" / "r.json")
+    config = {"seed": 1, "suites": [frechet_entry()]}
+    if where == "config":
+        config["out"] = missing
+    cfg = write_config(tmp_path, config)
+    assert main(["suite", "--config", cfg] + (["--out", missing] if where == "option" else [])) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write report:") and "no-such-dir" in err[0]
+
+
+@pytest.mark.parametrize(
     "suites_field",
     [
         [5],
@@ -94,7 +122,7 @@ def test_exit_one_on_non_object_entry(tmp_path, capsys, suites_field):
     cfg = write_config(tmp_path, {"seed": 1, "suites": suites_field})
     assert main(["suite", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: suites[0]")
+    assert len(err) == 1 and err[0].startswith("error: bad config: suites[0]")
 
 
 def test_exit_one_on_non_finite_config(tmp_path, capsys):
@@ -366,7 +394,7 @@ def test_exit_one_on_a_sequence_point_that_is_no_sequence(tmp_path, capsys, poin
     cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
     assert main(["frechet", "--config", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: bad config: a sequence")
+    assert len(err) == 1 and err[0].startswith("error: bad config: suites[0] (q2): point: a sequence")
 
 
 @pytest.mark.parametrize(
@@ -453,6 +481,76 @@ def test_exit_one_on_a_candidate_that_does_not_fit_its_codomain(tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: bad config:") and candidate["form"] in err[0]
 
 
+CUBE_MAX = {
+    "name": "cube-max-at-origin",
+    "kind": "order",
+    "operator": {"kind": "power", "params": {"m": 3}, "domain": {"space": "s"}, "codomain": {"space": "s"}},
+    "point": {"prefix": [], "tail": 0},
+    "claim": "max",
+}
+
+
+@pytest.mark.parametrize(
+    "entry, field",
+    [
+        ({**CUBE_MAX, "budget": 0}, "budget"),
+        ({**CUBE_MAX, "budget": -3}, "budget"),
+        ({"name": "order-catalogue", "kind": "order", "params": {"budget": 0}}, "params.budget"),
+        ({"name": "axioms-s", "kind": "axioms", "space": {"space": "s"}, "params": {"n_samples": 0}}, "params.n_samples"),
+    ],
+    ids=["zero-order-budget", "negative-order-budget", "zero-catalogue-budget", "zero-axioms-samples"],
+)
+def test_exit_one_on_a_count_below_one(tmp_path, capsys, entry, field):
+    # each passed on no sample: x^3 as a maximum at the origin, the order
+    # catalogue and the axioms
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [entry]})
+    assert main(["suite", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    prefix = f"error: bad config: suites[0] ({entry['name']}): {field} must be a JSON integer in [1, 100000]"
+    assert len(err) == 1 and err[0].startswith(prefix)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("frechet", "eps", 1e-9),
+        ("frechet", "n_sample", 5),
+        ("frechet", "delta_sourc", [[1], 0.5]),
+        ("continuity", "candidate", {"form": "zero"}),
+        ("gateaux", "n_samples", 5),
+    ],
+    ids=["eps", "n_sample", "delta_sourc", "continuity-candidate", "gateaux-samples"],
+)
+def test_exit_one_on_a_key_the_suite_does_not_read(tmp_path, capsys, kind, key, value):
+    # each ran at its default without a word (epsilon 0.1, 500 samples, the
+    # constructive delta, the analytic derivative, the t schedule)
+    entry = gateaux_entry() if kind == "gateaux" else dict(frechet_entry(), kind=kind)
+    entry["params"][key] = value
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [entry]})
+    assert main(["suite", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    prefix = f"error: bad config: suites[0] ({entry['name']}): params has the unknown key {key!r}"
+    assert len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_a_malformed_last_suite_refuses_the_config_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    runs = []
+    run = suites.run_suite_entry
+    monkeypatch.setattr(suites, "run_suite_entry", lambda s, seed: runs.append(s.name) or run(s, seed))
+    last = frechet_entry("last")
+    last["params"]["J"] = [1.5]
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry("first"), last]})
+    # also when --suite, the command's kind or --list leaves the last suite out
+    for argv in (["suite"], ["suite", "--suite", "first"], ["order"], ["suite", "--list"]):
+        assert main(argv + ["--config", cfg]) == 1
+        err = capsys.readouterr()
+        assert err.out == "" and err.err == "error: bad config: suites[1] (last): params.J[0] must be a JSON integer in [0, 10000], got 1.5\n"
+    assert runs == []
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry("first")]})
+    assert main(["suite", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert runs == ["first"]
+
+
 def test_exit_one_on_unknown_suite_name(tmp_path, capsys):
     cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry("a")]})
     assert main(["suite", "--config", cfg, "--suite", "nope"]) == 1
@@ -480,34 +578,36 @@ def test_list_and_filter(tmp_path, capsys):
     assert [s["name"] for s in report["suites"]] == ["b"]
 
 
+ORDER_CASES = [
+    {
+        "name": "square-increasing",
+        "kind": "order",
+        "operator": {"kind": "power", "params": {"m": 2}, "domain": SIGMA_DESC, "codomain": SIGMA_DESC},
+        "point": {"prefix": [], "tail": 0},
+        "claim": "increasing",
+        "budget": 40,
+    },
+    {
+        "name": "cube-credit-at-origin",
+        "kind": "order",
+        "operator": {"kind": "power", "params": {"m": 3}, "domain": {"space": "s"}, "codomain": {"space": "s"}},
+        "point": {"prefix": [], "tail": 0},
+        "claim": "credit",
+        "directions": [{"prefix": [], "tail": 1}],
+    },
+    {
+        "name": "cube-not-max-at-origin",
+        "kind": "order",
+        "operator": {"kind": "power", "params": {"m": 3}, "domain": {"space": "s"}, "codomain": {"space": "s"}},
+        "point": {"prefix": [], "tail": 0},
+        "claim": "max",
+        "directions": [{"prefix": [], "tail": 1}],
+    },
+]
+
+
 def test_order_case_config(tmp_path):
-    entries = [
-        {
-            "name": "square-increasing",
-            "kind": "order",
-            "operator": {"kind": "power", "params": {"m": 2}, "domain": SIGMA_DESC, "codomain": SIGMA_DESC},
-            "point": {"prefix": [], "tail": 0},
-            "claim": "increasing",
-            "budget": 40,
-        },
-        {
-            "name": "cube-credit-at-origin",
-            "kind": "order",
-            "operator": {"kind": "power", "params": {"m": 3}, "domain": {"space": "s"}, "codomain": {"space": "s"}},
-            "point": {"prefix": [], "tail": 0},
-            "claim": "credit",
-            "directions": [{"prefix": [], "tail": 1}],
-        },
-        {
-            "name": "cube-not-max-at-origin",
-            "kind": "order",
-            "operator": {"kind": "power", "params": {"m": 3}, "domain": {"space": "s"}, "codomain": {"space": "s"}},
-            "point": {"prefix": [], "tail": 0},
-            "claim": "max",
-            "directions": [{"prefix": [], "tail": 1}],
-        },
-    ]
-    cfg = write_config(tmp_path, {"seed": 5, "suites": entries})
+    cfg = write_config(tmp_path, {"seed": 5, "suites": ORDER_CASES})
     out = tmp_path / "r.json"
     assert main(["order", "--config", cfg, "--out", str(out)]) == 2  # the refuted max
     report = json.loads(out.read_text())
@@ -558,19 +658,26 @@ def _paths(doc, prefix=()):
 
 
 def test_every_single_mutation_of_a_catalogue_verdict_exits_cleanly(tmp_path, capsys):
-    # every value inside the catalogue's frechet, continuity and gateaux
-    # entries replaced by each of MUTATIONS, and every key deleted, one at a
-    # time: the run exits 0, 1 or 2 with no exception, and on 1 with one
-    # error line (about 3,000 runs, a few seconds: samples are capped at 20)
-    entries = [e for e in builtin_catalogue_config()["suites"] if e["kind"] in ("frechet", "continuity", "gateaux")]
+    # every value inside the catalogue's entries but the identity cases, the
+    # order cases of ORDER_CASES and the top-level seed replaced by each of
+    # MUTATIONS, and every key deleted, one at a time: the run exits 0, 1 or
+    # 2 with no exception, and on 1 with one error line (about 4,300 runs;
+    # samples and budgets are capped at 20)
+    entries = [e for e in builtin_catalogue_config()["suites"] if e["kind"] != "identity"] + copy.deepcopy(ORDER_CASES)
     cfg, out = tmp_path / "mutant.json", str(tmp_path / "report.json")
     runs = 0
     for entry in entries:
-        if "n_samples" in entry["params"]:
-            entry["params"]["n_samples"] = min(entry["params"]["n_samples"], 20)
-        for path in _paths(entry):
+        for where in (entry, entry.get("params", {})):
+            for count in ("n_samples", "budget"):
+                if count in where:
+                    where[count] = min(where[count], 20)
+        config = {"seed": 42, "suites": [entry]}
+        paths = [("suites", 0) + path for path in _paths(entry)]
+        if entry is entries[0]:
+            paths.append(("seed",))
+        for path in paths:
             for value in MUTATIONS + ((DELETE,) if isinstance(path[-1], str) else ()):
-                mutant = copy.deepcopy(entry)
+                mutant = copy.deepcopy(config)
                 parent = mutant
                 for key in path[:-1]:
                     parent = parent[key]
@@ -578,7 +685,7 @@ def test_every_single_mutation_of_a_catalogue_verdict_exits_cleanly(tmp_path, ca
                     del parent[path[-1]]
                 else:
                     parent[path[-1]] = value
-                cfg.write_text(json.dumps({"seed": 42, "suites": [mutant]}))
+                cfg.write_text(json.dumps(mutant))
                 what = f"{entry['name']} {list(path)} -> {'deleted' if value is DELETE else repr(value)}"
                 try:
                     code = main(["suite", "--config", str(cfg), "--out", out])
@@ -588,7 +695,7 @@ def test_every_single_mutation_of_a_catalogue_verdict_exits_cleanly(tmp_path, ca
                 assert code in (0, 1, 2), (what, code)
                 assert code != 1 or (len(err) == 1 and err[0].startswith("error:")), (what, err)
                 runs += 1
-    assert runs > 2000
+    assert runs > 3500
 
 
 def _strip_timing(doc):
@@ -659,6 +766,18 @@ def test_each_schwartz_suite_alone_gives_the_witness_of_the_whole_run(tmp_path):
         assert main(["suite", "--seed", "42", "--suite", name, "--out", str(out)]) == 0
         (alone,) = json.loads(out.read_text())["suites"]
         assert alone["witness"] == witnesses[name], name
+
+
+def test_readme_states_each_limit_at_its_value():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    limits = {
+        "MAX_COUNT": suites.MAX_COUNT,
+        "MAX_INDEX": suites.MAX_INDEX,
+        "MAX_ORDER": gausspoly.MAX_ORDER,
+        "MAX_DECIMAL_EXPONENT": gausspoly.MAX_DECIMAL_EXPONENT,
+    }
+    for name, value in limits.items():
+        assert f"* `{name}` = {value:,}:" in readme, name
 
 
 def test_package_runs_as_a_module():
