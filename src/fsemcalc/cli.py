@@ -13,13 +13,14 @@ import sys
 
 from .suites import load_config, read_config, run_config
 
-_KIND_BY_COMMAND = {
-    "axioms": "axioms",
-    "continuity": "continuity",
-    "gateaux": "gateaux",
-    "frechet": "frechet",
-    "order": "order",
-    "suite": None,
+# each command's suite kind (None: every kind) and help line
+_COMMANDS = {
+    "axioms": ("axioms", "run F-seminorm axiom suites"),
+    "continuity": ("continuity", "run continuity witnesses"),
+    "gateaux": ("gateaux", "run Gateaux derivative witnesses"),
+    "frechet": ("frechet", "run Frechet (DZ)/(DR) witnesses"),
+    "order": ("order", "run the ordered-optimization suite"),
+    "suite": (None, "run every suite in the config"),
 }
 
 
@@ -29,14 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="epsilon-delta verification suites for seminorm-structured spaces",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, help_text in [
-        ("axioms", "run F-seminorm axiom suites"),
-        ("continuity", "run continuity witnesses"),
-        ("gateaux", "run Gateaux derivative witnesses"),
-        ("frechet", "run Frechet (DZ)/(DR) witnesses"),
-        ("order", "run the ordered-optimization suite"),
-        ("suite", "run every suite in the config"),
-    ]:
+    for cmd, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON config (default: built-in catalogue)")
         p.add_argument("--out", metavar="PATH", help="write the report JSON here")
@@ -54,14 +48,17 @@ def main(argv=None) -> int:
         print(f"error: cannot load config: {exc}", file=sys.stderr)
         return 1
 
-    kind = _KIND_BY_COMMAND[args.command]
+    kind = _COMMANDS[args.command][0]
     try:
         if args.list:
             for s in read_config(config):
                 if kind is None or s.kind == kind:
                     print(f"{s.name}  [{s.kind}]")
             return 0
-        report = run_config(config, seed_override=args.seed, name_filter=args.suite, kind_filter=kind)
+        report = run_config(config, seed_override=args.seed, name_filter=args.suite, kind_filter=kind, out=args.out)
+    except OSError as exc:  # the report path, checked before any suite runs
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 1
     except (LookupError, ValueError, TypeError) as exc:  # LookupError: also NoRecipeError
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 1

@@ -9,9 +9,11 @@ makes exact seminorm evaluation possible downstream.
 Coefficients are kept as exact rationals (Fraction/int) as long as every
 input is rational; irrational constants (sqrt(pi), Fourier phases) switch the
 affected coefficients to float/complex.  The algebra is exact in any
-dimension n; evaluation and suprema are n = 1 only, computed in float at
-the critical points of each decay group, plus a guard grid when there are
-several groups; see :meth:`GaussPolyFn.sup_abs`.
+dimension n; evaluation and suprema are n = 1 only, computed from one
+Horner row per term (:meth:`GaussPolyTerm.flat1`: float, or complex when
+some coefficient is not real) at the critical points of each decay group,
+plus a guard grid when there are several groups; see
+:meth:`GaussPolyFn.sup_abs`.
 """
 
 from __future__ import annotations
@@ -148,14 +150,6 @@ def _config_choice(v, what: str, choices) -> str:
     return v
 
 
-def _creal(c):
-    return c.real if isinstance(c, complex) else c
-
-
-def _cimag(c):
-    return c.imag if isinstance(c, complex) else 0
-
-
 class SparsePoly:
     """Sparse multivariate polynomial: exponent tuple -> coefficient."""
 
@@ -220,25 +214,14 @@ class SparsePoly:
     def degree(self, i: int) -> int:
         return max((e[i] for e in self.terms), default=0)
 
-    def coeff_lists_1d(self):
-        """Ascending real/imag float coefficient lists (n = 1 only)."""
-        d = self.degree(0)
-        re = [0.0] * (d + 1)
-        im = [0.0] * (d + 1)
-        for e, c in self.terms.items():
-            v = _inexact(c)
-            re[e[0]] = float(_creal(v))
-            im[e[0]] = float(_cimag(v))
-        return re, im
-
     def __repr__(self):
         return f"SparsePoly(n={self.n}, {self.terms!r})"
 
 
 def _horner(rows, x):
     """Every descending coefficient row of rows at every point of x, by
-    Horner, as ``np.polyval`` evaluates one row."""
-    out = np.zeros((rows.shape[0], x.size))
+    Horner, as ``np.polyval`` evaluates one row; complex when rows is."""
+    out = np.zeros((rows.shape[0], x.size), dtype=rows.dtype)
     for k in range(rows.shape[1]):
         out *= x
         out += rows[:, k, None]
@@ -262,11 +245,17 @@ class GaussPolyTerm:
         self._flat = None
 
     def flat1(self):
-        """(a, re_desc, im_desc) float Horner data, cached (n = 1 only);
-        im_desc is empty when every coefficient is real."""
+        """(a, desc) Horner data, cached (n = 1 only): desc holds the
+        coefficients in descending powers, 0 for a missing power, as floats
+        when every coefficient is real and as complex numbers when some
+        coefficient has a nonzero imaginary part."""
         if self._flat is None:
-            re, im = self.poly.coeff_lists_1d()
-            self._flat = (float(self.decay[0]), re[::-1], im[::-1] if any(im) else [])
+            coeffs = {e[0]: complex(c) for e, c in self.poly.terms.items()}
+            cplx = any(v.imag for v in coeffs.values())
+            desc = [0j if cplx else 0.0] * (self.poly.degree(0) + 1)
+            for k, v in coeffs.items():
+                desc[-1 - k] = v if cplx else v.real
+            self._flat = (float(self.decay[0]), desc)
         return self._flat
 
     def __repr__(self):
@@ -455,40 +444,35 @@ class GaussPolyFn:
         return self._eval1(float(x0))
 
     def _eval1(self, x: float) -> complex:
-        out_re = 0.0
-        out_im = 0.0
+        out = 0.0
         for t in self.terms:
-            a, re_desc, im_desc = t.flat1()
+            a, desc = t.flat1()
             e = math.exp(-a * x * x)
             if e == 0.0:
                 # far out the polynomial factor can overflow to inf, and
                 # inf * 0 would poison the sum; the term is 0 there
                 continue
-            vr = 0.0
-            vi = 0.0
-            for c in re_desc:
-                vr = vr * x + c
-            for c in im_desc:
-                vi = vi * x + c
-            out_re += vr * e
-            out_im += vi * e
-        return complex(out_re, out_im)
+            v = 0.0
+            for c in desc:
+                v = v * x + c
+            out += v * e
+        return complex(out)
 
     def has_real_coeffs(self, tol: float = 0.0) -> bool:
-        return all(abs(_cimag(_inexact(c))) <= tol for t in self.terms for c in t.poly.terms.values())
+        return all(abs(complex(c).imag) <= tol for t in self.terms for c in t.poly.terms.values())
 
     def term_count(self) -> int:
         return len(self.terms)
 
     def _norm_key(self):
-        """Scale-invariant key (n = 1): each term's decay and float Horner
-        rows divided by the largest coefficient magnitude.  Critical points
+        """Scale-invariant key (n = 1): each term's decay and Horner row
+        divided by the largest coefficient magnitude.  Critical points
         of |c f| equal those of |f|, so candidate sets can be shared across
         scalar multiples; scaling by a power of two leaves the normalized
         mantissas bitwise identical."""
         rows = [t.flat1() for t in self.terms]
-        top = max(max(_magnitudes(re, im)) for _, re, im in rows)
-        return tuple((a, tuple(v / top for v in re), tuple(v / top for v in im)) for a, re, im in rows)
+        top = max(max(map(abs, desc)) for _, desc in rows)
+        return tuple((a, tuple(v / top for v in desc)) for a, desc in rows)
 
     def sup_abs(self) -> float:
         """sup over R of |f| (n = 1 only).
@@ -539,23 +523,24 @@ class GaussPolyFn:
         for t in self.terms:
             poly = []
             for e, c in sorted(t.poly.terms.items()):
-                v = _inexact(c)
                 if _is_exact(c):
                     poly.append({"exp": list(e), "re": str(Fraction(c)), "im": "0"})
                 else:
-                    poly.append({"exp": list(e), "re": float(_creal(v)), "im": float(_cimag(v))})
+                    poly.append({"exp": list(e), "re": complex(c).real, "im": complex(c).imag})
             terms.append({"decay": [_json_num(a) for a in t.decay], "poly": poly})
         return {"n": self.n, "terms": terms}
 
     @classmethod
     def from_json(cls, doc: dict) -> "GaussPolyFn":
         # int() would run n = 1.9 as 1 and x^1.5 as x, float() a decay of true as 1.0
-        n = _config_int(doc["n"], "a function's n", 1, MAX_ORDER)
+        n = _config_int(_config_object(doc, "a function", ("n", "terms"))["n"], "a function's n", 1, MAX_ORDER)
         terms = []
         for t in doc["terms"]:
+            t = _config_object(t, "a function's term", ("decay", "poly"))
             decay = tuple(_config_number(a, "a function's decay", True) for a in t["decay"])
             poly = {}
             for m in t["poly"]:
+                m = _config_object(m, "a function's monomial", ("exp", "re", "im"))
                 re = _config_number(m["re"], "a function's coefficient", True)
                 im = _config_number(m["im"], "a function's coefficient", True)
                 if im == 0:
@@ -607,44 +592,30 @@ class GaussPolyFn:
         return f"GaussPolyFn(n={self.n}, terms={len(self.terms)})"
 
 
-def _magnitudes(re, im):
-    """|c| of every entry of one term's Horner rows, as abs(complex(c)) of
-    its coefficient c (0 for a missing power)."""
-    return list(map(abs, map(complex, re, im))) if im else list(map(abs, re))
-
-
 def _eval_rows(rows, xs):
     """f at every point of the 1-D float array xs, for the n = 1 function whose
-    terms have the Horner rows ``rows`` (at least one (a, re_desc, im_desc),
-    as :meth:`GaussPolyTerm.flat1` gives them): the vectorised
-    :meth:`GaussPolyFn._eval1`, a real array when every coefficient is real.
+    terms have the Horner rows ``rows`` (at least one (a, desc), as
+    :meth:`GaussPolyTerm.flat1` gives them): the vectorised
+    :meth:`GaussPolyFn._eval1`, a real array when every row is real.
 
     One Horner pass over a (terms x points) array and one ``np.exp``.  The
     rows are padded with leading zeros to one width, which leave the Horner
     value at 0, and the terms are summed in order, so each value is the one
     that a ``np.polyval`` and ``np.exp`` per term give.
     """
-    width = max(len(re) for _, re, _ in rows)
-    cplx = [k for k, (_, _, im) in enumerate(rows) if im]
-    re = np.zeros((len(rows), width))
-    im = np.zeros((len(cplx), width))
-    for k, (_, r, _) in enumerate(rows):
-        re[k, width - len(r):] = r
-    for row, k in enumerate(cplx):
-        im[row, width - len(rows[k][2]):] = rows[k][2]
-    neg_a = -np.array([[a] for a, _, _ in rows])
+    width = max(len(desc) for _, desc in rows)
+    cplx = any(isinstance(desc[0], complex) for _, desc in rows)
+    coeffs = np.zeros((len(rows), width), dtype=complex if cplx else float)
+    for k, (_, desc) in enumerate(rows):
+        coeffs[k, width - len(desc):] = desc
+    neg_a = -np.array([[a] for a, _ in rows])
     x = np.asarray(xs)
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.exp(neg_a * (x * x))
-        v = _horner(re, x)
+        terms = _horner(coeffs, x) * e
         # as in _eval1: a term whose Gaussian factor underflows is 0
-        terms = v * e
         if not e.all():
             terms = np.where(e == 0.0, 0.0, terms)
-        if cplx:
-            vc = v[cplx] + 1j * _horner(im, x)
-            terms = terms.astype(complex)
-            terms[cplx] = np.where(e[cplx] == 0.0, 0.0, vc * e[cplx])
         # a reduction over the first axis adds the rows in order
         return np.add.reduce(terms, axis=0)
 
@@ -655,7 +626,7 @@ def _guard_grid(rows):
     sum_k |c_k| |x|^k e^{-a x^2} is decreasing and the total envelope has
     dropped 1e18 below its value at the threshold."""
     # (k, |c_k|) in ascending powers, missing powers left out
-    groups = [(a, [(k, m) for k, m in enumerate(_magnitudes(re, im)[::-1]) if m]) for a, re, im in rows]
+    groups = [(a, [(k, abs(c)) for k, c in enumerate(desc[::-1]) if c]) for a, desc in rows]
 
     def envelope(x: float) -> float:
         out = 0.0
@@ -663,8 +634,8 @@ def _guard_grid(rows):
             out += sum(m * abs(x) ** k for k, m in mags) * math.exp(-a * x * x)
         return out
 
-    amin = min(a for a, _, _ in rows)
-    dmax = max(len(re) for _, re, _ in rows) - 1
+    amin = min(a for a, _ in rows)
+    dmax = max(len(desc) for _, desc in rows) - 1
     r = max(1.0, math.sqrt((dmax + 2.0) / (2.0 * amin)))
     e0 = envelope(r)
     if e0 != 0.0:
@@ -685,39 +656,19 @@ def _gauss_diff(a, asc):
 
 
 def _critical_points(rows):
-    """0 and the critical points of each term f_k = q_k e^{-a_k x^2} of the
+    """0 and the critical points of each term f_k = q e^{-a x^2} of the
     n = 1 function with Horner rows ``rows``, from one polynomial per term;
     all terms' roots come from one :func:`rootfind.real_roots_many` call.
 
-    Real q: the roots of q' - 2 a x q, the polynomial part of f_k'
-    (:func:`_gauss_diff`).  Complex q: the roots of the polynomial factor of
-    d/dx |f_k|^2.
+    With q_1 = q' - 2 a x q, the polynomial part of f_k' (:func:`_gauss_diff`):
+    for a real row the roots of q_1, for a complex row the roots of
+    Re(conj(q) q_1), the polynomial factor of d/dx |f_k|^2 / 2.
     """
-
-    def pad_add(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return out
-
-    def ascending_diff(a):
-        return [i * v for i, v in enumerate(a)][1:] or [0.0]
-
     polys = []
-    for a, re_desc, im_desc in rows:
-        re = re_desc[::-1]
-        if not im_desc:
-            polys.append(_gauss_diff(a, re))
-            continue
-        # d/dx |q e^{-a x^2}|^2 has polynomial factor
-        #   re*re' + im*im' - 2 a x (re^2 + im^2)
-        im = im_desc[::-1]
-        s = pad_add(np.convolve(re, ascending_diff(re)), np.convolve(im, ascending_diff(im)))
-        sq = pad_add(np.convolve(re, re), np.convolve(im, im))
-        shifted = [0.0] + [-2.0 * a * v for v in sq]
-        polys.append(pad_add(s, shifted))
+    for a, desc in rows:
+        q = desc[::-1]
+        q1 = _gauss_diff(a, q)
+        polys.append(np.convolve(np.conj(q), q1).real if isinstance(q[0], complex) else q1)
     return [0.0] + [x for roots in real_roots_many(polys) for x in roots]
 
 
@@ -734,18 +685,17 @@ _KEEP_GRID_MARGIN = 1e-12
 
 
 def _derivative_rows(rows):
-    """(a, triples) per term (a, re, im) of rows: the descending
-    coefficients (q, q_1, q_2) of q = re + i im, of q_1 = q' - 2 a x q and
-    of q_2, the same map of q_1 (:func:`_gauss_diff`), so that f' and f''
-    are the sums of q_1 e^{-a x^2} and q_2 e^{-a x^2}.  q and q_1 are padded
-    with leading zeros to the length of q_2, which leave their Horner values
-    as they are; a real q keeps float coefficients."""
+    """(a, triples) per term (a, q) of rows: the descending coefficients
+    (q, q_1, q_2) of q, of q_1 = q' - 2 a x q and of q_2, the same map of
+    q_1 (:func:`_gauss_diff`), so that f' and f'' are the sums of
+    q_1 e^{-a x^2} and q_2 e^{-a x^2}.  q and q_1 are padded with leading
+    zeros to the length of q_2, which leave their Horner values as they
+    are; a real row keeps float coefficients."""
     out = []
-    for a, re, im in rows:
-        q = list(map(complex, re, im)) if im else list(re)
+    for a, q in rows:
         q1 = _gauss_diff(a, q[::-1])
         q2 = _gauss_diff(a, q1)
-        out.append((a, list(zip([0.0, 0.0] + q, [0.0] + q1[::-1], q2[::-1]))))
+        out.append((a, list(zip([0.0, 0.0, *q], [0.0] + q1[::-1], q2[::-1]))))
     return out
 
 

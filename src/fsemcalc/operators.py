@@ -161,21 +161,6 @@ class Operator:
             return f"poly{tuple(self.params['coeffs'])}@{self.domain.tag}"
         return f"{k}@{self.domain.tag}"
 
-    def to_json(self) -> dict:
-        params = dict(self.params)
-        if "g" in params:
-            params["g"] = params["g"].to_json()
-        if "gamma" in params:
-            params["gamma"] = list(params["gamma"])
-        if "lam" in params:
-            params["lam"] = list(params["lam"])
-        return {
-            "kind": self.kind,
-            "params": params,
-            "domain": self.domain.describe(),
-            "codomain": self.codomain.describe(),
-        }
-
     @classmethod
     def from_json(cls, doc: dict) -> "Operator":
         """The operator of {"kind", "params", "domain", "codomain"}, with the

@@ -223,9 +223,6 @@ class SigmaRhoSpace(_SequenceSpaceBase):
     def tag(self) -> str:
         return "sigma_rho"
 
-    def describe(self) -> dict:
-        return {"space": "sigma_rho", "rho": self.rho}
-
     def validate(self, x: SeqElement):
         if x.tail != 0:
             raise ValueError("sigma_rho elements must have tail 0 (finite support)")
@@ -273,9 +270,6 @@ class SSpace(_SequenceSpaceBase):
     @property
     def tag(self) -> str:
         return "s"
-
-    def describe(self) -> dict:
-        return {"space": "s"}
 
     def validate(self, x: SeqElement):
         return x
@@ -336,9 +330,6 @@ class SchwartzSpace(_SpaceBase):
     @property
     def tag(self) -> str:
         return "schwartz"
-
-    def describe(self) -> dict:
-        return {"space": "schwartz", "n": self.n}
 
     def zero(self):
         return GaussPolyFn.zero(self.n)

@@ -103,6 +103,14 @@ def _sid_list(raw, field):
     return [sid(s, f"{field}[{k}]", MAX_INDEX) for k, s in enumerate(_config_list(raw, field))]
 
 
+def _direction(space, doc):
+    """The element of space that doc holds, refused when it is 0."""
+    v = space.element_from_json(doc)
+    if space.is_zero(v):
+        raise ValueError("a direction must be nonzero")
+    return v
+
+
 def _at(path: str, read, *args):
     """read(*args), with a refusal of it prefixed by the config path read."""
     try:
@@ -274,18 +282,20 @@ def _read_fields(entry: dict) -> SimpleNamespace:
         s.claim = _config_choice(entry.get("claim", "credit"), "order claim", ("credit", "max", "min", "increasing"))
         s.budget = _config_int(entry.get("budget", 100), "budget", 1, MAX_COUNT)
         directions = _config_list(entry.get("directions", []), "directions")
-        s.directions = [_at(f"directions[{k}]", dom.element_from_json, d) for k, d in enumerate(directions)]
+        s.directions = [_at(f"directions[{k}]", _direction, dom, d) for k, d in enumerate(directions)]
         return s
     s.J = _at("params.J", index_set, cod, _sid_list(params["J"], "params.J"))
     s.epsilon = _check_positive("params.epsilon", params.get("epsilon", 0.1))
     s.candidate = _at("params.candidate", linmap_from_json, cod, params["candidate"]) if "candidate" in params else None
     if kind == "gateaux":
-        s.direction = _at("direction", dom.element_from_json, entry["direction"])
+        s.direction = _at("direction", _direction, dom, entry["direction"])
         s.t_schedule = None
         if "t_schedule" in params:
             ts = _config_list(params["t_schedule"], "params.t_schedule", nonempty=True)
             # a JSON number t is the exact decimal it is written as
             s.t_schedule = [Fraction(str(_config_number(t, f"params.t_schedule[{k}]"))) for k, t in enumerate(ts)]
+            if 0 in s.t_schedule:
+                raise ValueError(f"params.t_schedule[{s.t_schedule.index(0)}] must be nonzero")
         return s
     s.n_samples = _config_int(params.get("n_samples", 500), "params.n_samples", 1, MAX_COUNT)
     source = params.get("delta_source", "auto")
@@ -419,8 +429,15 @@ def read_config(config) -> list:
     return [_read_entry(e, i) for i, e in enumerate(config["suites"])]
 
 
-def run_config(config: dict, seed_override=None, name_filter=None, kind_filter=None) -> dict:
+def run_config(config: dict, seed_override=None, name_filter=None, kind_filter=None, out=None) -> dict:
+    """The report of the config's suites, every one read before any runs.
+    The report path, out or else the config's "out", is opened for appending
+    once the config is read, so one that cannot be written is refused (an
+    OSError) before any suite runs."""
     suites = read_config(config)
+    out = out or config.get("out")
+    if out:
+        open(out, "a", encoding="utf-8").close()
     seed = config["seed"] if seed_override is None else seed_override
     if name_filter:
         suites = [s for s in suites if s.name == name_filter]

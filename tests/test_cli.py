@@ -96,16 +96,28 @@ def test_exit_one_on_a_seed_or_out_of_another_type(tmp_path, capsys, field, valu
 
 
 @pytest.mark.parametrize("where", ["option", "config"])
-def test_exit_one_when_the_report_cannot_be_written(tmp_path, capsys, where):
-    # a report path in a missing directory ended in a traceback
+def test_exit_one_when_the_report_cannot_be_written(tmp_path, capsys, monkeypatch, where):
+    # a report path in a missing directory ended in a traceback, and then in
+    # this line only after the whole config had run
+    runs = count_runs(monkeypatch)
     missing = str(tmp_path / "no-such-dir" / "r.json")
-    config = {"seed": 1, "suites": [frechet_entry()]}
-    if where == "config":
-        config["out"] = missing
-    cfg = write_config(tmp_path, config)
-    assert main(["suite", "--config", cfg] + (["--out", missing] if where == "option" else [])) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: cannot write report:") and "no-such-dir" in err[0]
+
+    def run(entries):
+        config = {"seed": 1, "suites": entries}
+        if where == "config":
+            config["out"] = missing
+        cfg = write_config(tmp_path, config)
+        assert main(["suite", "--config", cfg] + (["--out", missing] if where == "option" else [])) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        return err[0]
+
+    line = run([frechet_entry()])
+    assert line.startswith("error: cannot write report:") and "no-such-dir" in line
+    # a malformed config is still refused as such
+    line = run([frechet_entry(), {"name": "x", "kind": "bogus"}])
+    assert line.startswith("error: bad config: suites[1] (x): unknown suite kind 'bogus'")
+    assert runs == []
 
 
 @pytest.mark.parametrize(
@@ -533,10 +545,16 @@ def test_exit_one_on_a_key_the_suite_does_not_read(tmp_path, capsys, kind, key, 
     assert len(err) == 1 and err[0].startswith(prefix)
 
 
-def test_a_malformed_last_suite_refuses_the_config_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+def count_runs(monkeypatch):
+    """The names of the suites that run_suite_entry runs from here on."""
     runs = []
     run = suites.run_suite_entry
     monkeypatch.setattr(suites, "run_suite_entry", lambda s, seed: runs.append(s.name) or run(s, seed))
+    return runs
+
+
+def test_a_malformed_last_suite_refuses_the_config_before_any_suite_runs(tmp_path, capsys, monkeypatch):
+    runs = count_runs(monkeypatch)
     last = frechet_entry("last")
     last["params"]["J"] = [1.5]
     cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry("first"), last]})
@@ -549,6 +567,51 @@ def test_a_malformed_last_suite_refuses_the_config_before_any_suite_runs(tmp_pat
     cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry("first")]})
     assert main(["suite", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
     assert runs == ["first"]
+
+
+def _with(entry, path, value):
+    entry = copy.deepcopy(entry)
+    parent = entry
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return entry
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (_with(gateaux_entry(), ("direction",), {"prefix": [], "tail": 0}), "direction: a direction must be nonzero"),
+        (_with(CUBE_MAX, ("directions",), [{"prefix": [], "tail": 1}, {"prefix": [0], "tail": 0}]),
+         "directions[1]: a direction must be nonzero"),
+        (_with(gateaux_entry(), ("params", "t_schedule"), [0.1, 0]), "params.t_schedule[1] must be nonzero"),
+    ],
+    ids=["zero-gateaux-direction", "zero-order-direction", "zero-t"],
+)
+def test_a_zero_direction_or_t_is_refused_before_any_suite_runs(tmp_path, capsys, monkeypatch, entry, message):
+    # each was refused only when its suite ran, after every earlier suite,
+    # and its line named neither the suite nor the field
+    runs = count_runs(monkeypatch)
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry("first"), entry]})
+    assert main(["suite", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: bad config: suites[1] ({entry['name']}): {message}"]
+    assert runs == []
+
+
+@pytest.mark.parametrize(
+    "path, key",
+    [((), "zzz"), (("terms", 0), "extra"), (("terms", 0, "poly", 0), "bogus")],
+    ids=["function", "term", "monomial"],
+)
+def test_exit_one_on_an_unknown_key_inside_a_function(tmp_path, capsys, path, key):
+    # each ran as if the key were not there
+    entry = _with(_schwartz_frechet_entry(), ("point",) + path + (key,), 1)
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [entry]})
+    assert main(["frechet", "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad config: suites[0] (square-schwartz): point:")
+    assert f"unknown key {key!r}" in err[0]
 
 
 def test_exit_one_on_unknown_suite_name(tmp_path, capsys):

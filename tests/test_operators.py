@@ -61,12 +61,15 @@ def test_kind_space_compatibility():
         Operator("poly", {"coeffs": []}, SIGMA, SIGMA)
 
 
-def test_operator_json_roundtrip():
-    o = Operator("mult", {"g": GAUSS}, SCH, SCH)
-    o2 = Operator.from_json(o.to_json())
-    assert o2.kind == "mult" and o2.apply(XGAUSS) == o.apply(XGAUSS)
-    q = op("power", {"m": 3})
-    assert Operator.from_json(q.to_json()).apply(SeqElement([2])) == SeqElement([8])
+def test_operator_from_json_reads_literal_documents():
+    schwartz = {"space": "schwartz", "n": 1}
+    g = {"n": 1, "terms": [{"decay": ["1"], "poly": [{"exp": [0], "re": "1", "im": "0"}]}]}
+    mult = Operator.from_json({"kind": "mult", "params": {"g": g}, "domain": schwartz, "codomain": schwartz})
+    assert mult.kind == "mult" and mult.params["g"] == GAUSS
+    assert mult.apply(XGAUSS) == GAUSS.mul(XGAUSS)
+    cube = Operator.from_json({"kind": "power", "params": {"m": 3}, "domain": {"space": "sigma_rho", "rho": 0.5}})
+    assert cube.kind == "power" and cube.params == {"m": 3} and cube.codomain.tag == "sigma_rho"
+    assert cube.apply(SeqElement([2])) == SeqElement([8])
 
 
 # -- analytic derivatives ------------------------------------------------------
