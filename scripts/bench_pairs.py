@@ -11,9 +11,11 @@ which side runs first alternates from seed to seed, so a slow spell of the
 machine falls on both.  The output holds, per workload and end-to-end
 metric, the medians and quartiles of both sides, the pairs the change won
 (ties count for neither side), every run's value, the failed and incorrect
-runs, and the machine.  With --trace-seed each side also makes one traced
-run on that seed and its per-layer metrics are recorded.  Runs are made one
-at a time.  The script itself writes only --out; the benchmark writes its
+runs, the 1-minute load average before and after every run, and the
+machine, with the CPUs this process may use: a busy CPU slows a run that
+uses every CPU more than one that uses one.  With --trace-seed each side
+also makes one traced run on that seed and its per-layer metrics are
+recorded.  Runs are made one at a time.  The script itself writes only --out; the benchmark writes its
 own outputs in the checkout it runs from.
 """
 
@@ -53,15 +55,20 @@ def unpack(ref, dest):
 
 
 def run_once(command, tree, workload, seed, seconds, trace):
-    """One benchmark run in tree; its result line, or a record of the failure."""
+    """One benchmark run in tree; its result line, or a record of the
+    failure, with the 1-minute load average before and after the run."""
+    load = os.getloadavg()[0]
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     if argv[0] in ("python", "python3"):
         argv[0] = sys.executable
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    return json.loads(lines[-1])
+        result = {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    else:
+        result = json.loads(lines[-1])
+    result["load_1min"] = [load, os.getloadavg()[0]]
+    return result
 
 
 def quartiles(values):
@@ -101,7 +108,7 @@ def summarise(seeds, runs, metrics):
 
 
 def machine():
-    info = {"nproc": os.cpu_count(), "python": platform.python_version(), "platform": platform.platform()}
+    info = {"nproc": os.cpu_count(), "cpus_usable": len(os.sched_getaffinity(0)), "python": platform.python_version(), "platform": platform.platform()}
     try:
         import numpy
 
@@ -152,6 +159,7 @@ def main(argv=None):
                 "errors": {side: {s: r["error"] for s, r in zip(seeds, runs[side]) if "error" in r} for side in SIDES},
                 "runs_not_correct": {side: [s for s, r in zip(seeds, runs[side]) if r.get("correct") is False] for side in SIDES},
                 "failed_ops": {side: sum(r.get("failed", 0) for r in runs[side]) for side in SIDES},
+                "load_1min_before_after": {side: {s: r["load_1min"] for s, r in zip(seeds, runs[side])} for side in SIDES},
             }
             if args.trace_seed is not None:
                 entry["trace"] = {"seed": args.trace_seed}

@@ -95,6 +95,12 @@ class SampleRecord(tuple):
     value = property(itemgetter(2))
 
 
+def _sampled_delta(witness) -> dict:
+    """{"sampled_delta": d} when the witness's sample levels were capped
+    below delta (scale_into), else {}."""
+    return {} if witness.sampled_delta is None else {"sampled_delta": witness.sampled_delta}
+
+
 def _stats(records):
     vals = [float(s.value) for s in records]
     if not vals:
@@ -212,6 +218,7 @@ class FrechetWitness:
     recipe: str
     passed: bool
     seed: int | None = None
+    sampled_delta: float | None = None  # set only when a sample level was capped
 
     def to_json(self, space=None) -> dict:
         stored = [
@@ -227,6 +234,7 @@ class FrechetWitness:
             "passed": self.passed,
             "epsilon": self.epsilon,
             "delta": self.delta,
+            **_sampled_delta(self),
             "delta_source": self.delta_source,
             "recipe": self.recipe,
             "J": [str(s) for s in self.J],
@@ -329,10 +337,18 @@ def _kernel_samples(dom, I: IndexSet, rng):
 
 
 def scale_into(dom, u, I: IndexSet, target: float):
-    """u scaled so that max_I p lands on target > 0, in closed form through
-    the space's level_scalar; None when max_I p(u) = 0."""
+    """(u scaled so that max_I p lands on target > 0, capped), in closed form
+    through the space's level_scalar; (None, False) when max_I p(u) = 0.
+    Where that scalar overflows (sigma_rho's (target/c)^(1/rho)), u is
+    scaled by the largest scalar that keeps its entries finite, so it lands
+    below target, and capped is True."""
     c = family_max(dom, u, I)
-    return None if c == 0 else dom.scale(dom.level_scalar(c, target), u)
+    if c == 0:
+        return None, False
+    s = dom.level_scalar(c, target)
+    if s < math.inf:
+        return dom.scale(s, u), False
+    return dom.scale(dom.finite_scalar(u), u), True
 
 
 def _dr_targets(delta: float, rng, n: int):
@@ -388,7 +404,9 @@ def _sample_loop(op, x, J, epsilon, delta_source, rng, n_samples, numerator, div
     read (``dom.restrict``).  (I, delta) comes from delta_source and the
     Frechet (divide) or continuity recipe at x; with I None, delta halves
     from 1 until a batch passes, and the search fails below 1e-12.  Returns
-    (J, I, delta, recipe, source, passed, kernel records, records)."""
+    (J, I, delta, recipe, source, passed, kernel records, records, sampled
+    delta), the last the largest max_I p(u) sampled when scale_into capped
+    some level, else None."""
     _check_positive("epsilon", epsilon)
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:  # no samples: a vacuous pass
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
@@ -403,23 +421,25 @@ def _sample_loop(op, x, J, epsilon, delta_source, rng, n_samples, numerator, div
     while True:
         kernel = _kernel_samples(dom, I, rng) if divide else []
         kernel = [SampleRecord((u, 0.0, family_max(cod, numerator(dom.restrict(u, J)), J))) for u in kernel]
-        samples = []
+        samples, capped = [], False
         for target in _dr_targets(delta, rng, n_samples):
             for _ in range(20):
-                u = scale_into(dom, dom.random_direction(rng), I, target)
+                u, cut = scale_into(dom, dom.random_direction(rng), I, target)
                 c = 0.0 if u is None else family_max(dom, u, I)
                 if 0.0 < c < delta:
                     break
             else:
                 raise RuntimeError("sampler failed to land in the punctured neighborhood")
+            capped = capped or cut
             n = numerator(dom.restrict(u, J))
             samples.append(SampleRecord((u, c, dr_ratio(cod, n, c, J) if divide else family_max(cod, n, J))))
         passed = all(s.value <= EXACT_ZERO_TOL for s in kernel) and all(s.value < epsilon for s in samples)
+        sampled = max(s.max_I for s in samples) if capped else None
         if passed or not searched:
-            return J, I, float(delta), recipe, source, passed, kernel, samples
+            return J, I, float(delta), recipe, source, passed, kernel, samples, sampled
         delta /= 2.0
         if delta < 1e-12:
-            return J, I, delta, recipe, source, False, kernel, samples
+            return J, I, delta, recipe, source, False, kernel, samples, sampled
 
 
 def verify_frechet(
@@ -449,10 +469,10 @@ def verify_frechet(
     (``_sample_loop``) reads it, divided by max_I p(u).
     """
     residual = _residual(op, xbar, L)
-    J, I, delta, recipe, source, passed, dz, dr = _sample_loop(
+    J, I, delta, recipe, source, passed, dz, dr, sampled = _sample_loop(
         op, xbar, J, epsilon, delta_source, rng, n_samples, residual, True
     )
-    return FrechetWitness(J, float(epsilon), I, delta, dz, dr, source, recipe, passed, seed)
+    return FrechetWitness(J, float(epsilon), I, delta, dz, dr, source, recipe, passed, seed, sampled)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +490,7 @@ class ContinuityWitness:
     recipe: str
     passed: bool
     seed: int | None = None
+    sampled_delta: float | None = None  # set only when a sample level was capped
 
     def to_json(self, space=None) -> dict:
         # the point x = x0 + u is formed for the stored samples only
@@ -485,6 +506,7 @@ class ContinuityWitness:
             "passed": self.passed,
             "epsilon": self.epsilon,
             "delta": self.delta,
+            **_sampled_delta(self),
             "recipe": self.recipe,
             "J": [str(s) for s in self.J],
             "I": [str(s) for s in self.I],
@@ -536,10 +558,10 @@ def continuity_verify(
     operator is applied.  The witness keeps u, and forms the float x0 + u,
     which may round back onto x0, only as the x of a stored sample."""
     increment = op.taylor_remainder(x0).increment
-    J, I, delta, recipe, _, passed, _, samples = _sample_loop(
+    J, I, delta, recipe, _, passed, _, samples, sampled = _sample_loop(
         op, x0, J, epsilon, delta_source, rng, n_samples, increment, False
     )
-    return ContinuityWitness(J, float(epsilon), I, delta, x0, samples, recipe, passed, seed)
+    return ContinuityWitness(J, float(epsilon), I, delta, x0, samples, recipe, passed, seed, sampled)
 
 
 # ---------------------------------------------------------------------------

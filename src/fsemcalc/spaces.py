@@ -16,6 +16,8 @@ arithmetic whenever the inputs are exact.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 from . import multiindex as mi
@@ -136,6 +138,11 @@ class _SpaceBase:
     def scale(self, a, x):
         return x.scale(a)
 
+    def finite_scalar(self, x) -> float:
+        """The largest s > 0 with every entry of s x finite; inf for a space
+        that knows no such bound."""
+        return math.inf
+
     def is_zero(self, x):
         return x.is_zero()
 
@@ -209,6 +216,13 @@ class _SequenceSpaceBase(_SpaceBase):
         x = self.random_element(rng)
         return x if not x.is_zero() else SeqElement([1], 0)
 
+    def finite_scalar(self, x: SeqElement) -> float:
+        top = max(abs(float(v)) for v in (*x.prefix, x.tail))
+        s = sys.float_info.max / top
+        while math.isinf(s * top):
+            s = math.nextafter(s, 0.0)
+        return s
+
 
 class SigmaRhoSpace(_SequenceSpaceBase):
     """sigma_rho: finite-support sequences, |x|_{rho,k} = |t_k|^rho."""
@@ -240,8 +254,12 @@ class SigmaRhoSpace(_SequenceSpaceBase):
         return abs(float(c)) ** self.rho
 
     def level_scalar(self, c: float, target: float) -> float:
-        """s > 0 with p(s x) = target wherever p(x) = c: (target/c)^(1/rho)."""
-        return (target / c) ** (1.0 / self.rho)
+        """s > 0 with p(s x) = target wherever p(x) = c: (target/c)^(1/rho),
+        or inf where that overflows."""
+        try:
+            return (target / c) ** (1.0 / self.rho)
+        except OverflowError:
+            return math.inf
 
     def metric(self, x: SeqElement, y: SeqElement) -> float:
         # computed on the canonical difference element, so translation

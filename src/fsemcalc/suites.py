@@ -5,16 +5,22 @@ path}.  Every entry has a name, a kind (axioms | continuity | gateaux |
 frechet | order | identity), descriptors for the space/operator/point, and a
 params object (J indices, epsilon, sample budgets, optional candidate
 override, optional t schedule).  Every entry is read and checked before any
-suite runs.  Suites run one after another in config order, each under a seed
-derived from its name, so a fixed seed yields an identical report up to
-wall-clock fields.
+suite runs.  Each suite runs under a seed derived from its name, and its
+witness depends on nothing else, so the suites of a run are shared between
+this process and forked workers, one per further usable CPU, and the report
+lists them in config order: a fixed seed yields an identical report up to
+wall-clock fields, on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import random
+import signal
+import threading
 import time
 import zlib
 from fractions import Fraction
@@ -433,18 +439,22 @@ def run_config(config: dict, seed_override=None, name_filter=None, kind_filter=N
     """The report of the config's suites, every one read before any runs.
     The report path, out or else the config's "out", is opened for appending
     once the config is read, so one that cannot be written is refused (an
-    OSError) before any suite runs."""
+    OSError) before any suite runs; a file that this opening created is
+    removed at once, so a run that fails leaves no empty report behind."""
     suites = read_config(config)
     out = out or config.get("out")
     if out:
+        created = not os.path.lexists(out)
         open(out, "a", encoding="utf-8").close()
+        if created:
+            os.remove(out)
     seed = config["seed"] if seed_override is None else seed_override
     if name_filter:
         suites = [s for s in suites if s.name == name_filter]
     if kind_filter:
         suites = [s for s in suites if s.kind == kind_filter]
     t0 = time.perf_counter()
-    results = [run_suite_entry(s, derive_seed(seed, s.name)) for s in suites]
+    results = _run_shared(suites, seed)
     summary = {
         "total": len(results),
         "passed": sum(1 for r in results if r["passed"]),
@@ -459,6 +469,107 @@ def run_config(config: dict, seed_override=None, name_filter=None, kind_filter=N
         "summary": summary,
         "wall_clock_s": time.perf_counter() - t0,
     }
+
+
+# A claim is 4 bytes of the job pipe, which is written whole before any
+# worker starts, so every claim must fit in a pipe that nobody reads yet:
+# 4,096 bytes, PIPE_BUF on Linux, fits a new pipe on Linux and macOS.
+_MAX_CLAIMS = 1024
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_shared(suites: list, seed: int) -> list:
+    """The reports of suites in order, run by this process and by
+    min(len(suites), usable CPUs) - 1 forked workers.  Each process claims
+    the next unclaimed job from one pipe of job indices (runs of consecutive
+    indices past _MAX_CLAIMS suites) and runs it.  A process that runs other
+    threads forks no worker, since a lock that one of them holds would stay
+    held in the child; without fork, or when fork fails, this process runs
+    what the workers did not take.  A suite that raises stops its process's
+    claims, and the run raises the exception of the first failing suite in
+    config order; a worker that ends without sending its reports raises a
+    RuntimeError.  Every worker is reaped (and killed first on an error or
+    an interrupt) before this returns."""
+    step = len(suites) // _MAX_CLAIMS + 1
+    workers = 1 if threading.active_count() > 1 else min(len(suites), _usable_cpus())
+    claims, fill = os.pipe()
+    pids, fds = [], []
+    try:
+        with open(fill, "wb") as fh:
+            fh.write(b"".join(i.to_bytes(4, "little") for i in range(0, len(suites), step)))
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except (AttributeError, OSError):  # no fork here, or no room for a process
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _worker(suites, seed, claims, step, w, fds + [r])
+            os.close(w)
+            pids.append(pid)
+            fds.append(r)
+        done = _run_claims(suites, seed, claims, step)
+        for pid, fd in zip(pids, fds):
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            try:
+                done += pickle.loads(data)
+            except (pickle.UnpicklingError, EOFError):
+                raise RuntimeError(f"suite worker {pid} ended without sending its reports") from None
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in fds + [claims]:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    reports = dict(done)
+    failed = [i for i, r in done if isinstance(r, Exception)]
+    if failed:
+        raise reports[min(failed)]
+    return [reports[i] for i in range(len(suites))]
+
+
+def _run_claims(suites: list, seed: int, claims: int, step: int) -> list:
+    """(index, report) for each suite this process claims from the claims
+    pipe, until the pipe is empty or a suite raises: (index, exception)
+    then ends the list."""
+    done = []
+    while claim := os.read(claims, 4):
+        first = int.from_bytes(claim, "little")
+        for i in range(first, min(first + step, len(suites))):
+            try:
+                done.append((i, run_suite_entry(suites[i], derive_seed(seed, suites[i].name))))
+            except Exception as exc:  # raised by _run_shared once every process is done
+                done.append((i, exc))
+                return done
+    return done
+
+
+def _worker(suites: list, seed: int, claims: int, step: int, out: int, inherited: list):
+    """A forked worker: its claims run and pickled to the pipe end out.  It
+    ends the process with os._exit, so it never returns into the caller's
+    stack nor flushes stdio buffers inherited from it; the exit status is 1
+    unless every report was sent."""
+    status = 1
+    try:
+        for fd in inherited:  # the read ends of the result pipes
+            os.close(fd)
+        with open(out, "wb") as fh:
+            fh.write(pickle.dumps(_run_claims(suites, seed, claims, step)))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,7 @@ def test_criterion_8_fnorm_translation():
     back_bad = 0
     hits = 0
     while hits < 500:
-        u = scale_into(sig, sig.random_direction(rng), I, rng.uniform(0, bdelta) or bdelta / 2)
+        u, _ = scale_into(sig, sig.random_direction(rng), I, rng.uniform(0, bdelta) or bdelta / 2)
         if u is None or family_max(sig, u, I) >= bdelta:
             continue
         hits += 1

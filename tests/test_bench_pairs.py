@@ -1,4 +1,6 @@
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -30,3 +32,18 @@ def test_summarise_counts_wins_by_direction_and_skips_failed_runs():
     assert rate["change_wins"] == "2/3" and rate["change_losses"] == "0/3"  # a tie counts for neither
     assert rate["parent"]["median"] == 10.0 and rate["change"]["median"] == 14.0
     assert p50["change_wins"] == "2/3" and p50["change_losses"] == "1/3"
+
+
+def test_machine_records_the_usable_cpus():
+    info = bench_pairs.machine()
+    assert info["cpus_usable"] == len(os.sched_getaffinity(0)) and info["nproc"] == os.cpu_count()
+
+
+def test_run_once_records_the_load_before_and_after_the_run(tmp_path):
+    # the benchmark's options are passed on to the command, which ignores them here
+    ok = bench_pairs.run_once([sys.executable, "-c", "print('{\"metrics\": {}}')"], tmp_path, "w", 1, 1, 0)
+    failed = bench_pairs.run_once([sys.executable, "-c", "raise SystemExit(3)"], tmp_path, "w", 1, 1, 0)
+    assert ok["metrics"] == {} and failed["error"].startswith("exit 3")
+    for result in (ok, failed):
+        before, after = result["load_1min"]
+        assert before >= 0 and after >= 0

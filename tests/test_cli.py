@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -816,14 +818,15 @@ def test_report_identical_across_processes(tmp_path):
     assert texts[0] == texts[1]
 
 
-def test_each_schwartz_suite_alone_gives_the_witness_of_the_whole_run(tmp_path):
+def test_each_catalogue_suite_alone_gives_the_witness_of_the_whole_run(tmp_path):
     # a suite run by name follows other history than in the whole run (here
-    # the whole run and the suites named after it), and gives the same witness
+    # the whole run and the suites named after it), and gives the same
+    # witness: what lets the suites of a run share processes
     whole = tmp_path / "whole.json"
     assert main(["suite", "--seed", "42", "--out", str(whole)]) == 0
     witnesses = {s["name"]: s["witness"] for s in json.loads(whole.read_text())["suites"]}
-    names = [name for name in witnesses if "schwartz" in name]
-    assert len(names) >= 4
+    names = list(witnesses)
+    assert len(names) == len(builtin_catalogue_config()["suites"])
     for name in reversed(names):
         out = tmp_path / f"{name}.json"
         assert main(["suite", "--seed", "42", "--suite", name, "--out", str(out)]) == 0
@@ -851,3 +854,112 @@ def test_package_runs_as_a_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert "continuity-square-sigma" in proc.stdout.split()
+
+
+def test_a_run_shared_between_processes_gives_the_report_of_one_process(monkeypatch):
+    # the suites of a run go to this process and forked workers, one per
+    # further usable CPU; the report must not show how they were shared
+    run = suites.run_suite_entry
+    monkeypatch.setattr(suites, "run_suite_entry", lambda s, seed: dict(run(s, seed), pid=os.getpid()))
+    shared_pids = set()
+
+    def report(cpus, **kwargs):
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+        doc = _strip_timing(run_config(builtin_catalogue_config(), **kwargs))
+        pids = {s.pop("pid") for s in doc["suites"]}
+        assert len(pids) <= cpus
+        (shared_pids if cpus > 1 else set()).update(pids)
+        return json.dumps(doc, default=str)
+
+    for kwargs in [{"seed_override": s} for s in range(42, 47)] + [{"seed_override": 7, "kind_filter": "order"}]:
+        assert report(1, **kwargs) == report(2, **kwargs), kwargs
+    assert len(shared_pids) > 1  # workers ran some of the suites
+
+
+def test_a_process_that_runs_other_threads_forks_no_worker(monkeypatch):
+    # a lock held by another thread would stay held in a forked child
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    run = suites.run_suite_entry
+    monkeypatch.setattr(suites, "run_suite_entry", lambda s, seed: dict(run(s, seed), pid=os.getpid()))
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        report = run_config({"seed": 1, "suites": [frechet_entry(f"s{k}") for k in range(4)]})
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert {s["pid"] for s in report["suites"]} == {os.getpid()}
+
+
+def failing_at(monkeypatch, *names):
+    """run_suite_entry raising an OverflowError naming the suite for names."""
+    run = suites.run_suite_entry
+
+    def failing(s, seed):
+        if s.name in names:
+            raise OverflowError(f"{s.name} overflowed")
+        return run(s, seed)
+
+    monkeypatch.setattr(suites, "run_suite_entry", failing)
+
+
+def test_a_failing_suite_ends_a_shared_run_with_the_first_error_and_no_worker_left(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    failing_at(monkeypatch, "s2", "s5")
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry(f"s{k}") for k in range(1, 7)]})
+    assert main(["suite", "--config", cfg]) == 1
+    err = capsys.readouterr()
+    assert err.out == "" and err.err == "error: config cannot be run: OverflowError: s2 overflowed\n"
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_ends_without_its_reports_makes_the_run_raise(monkeypatch):
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    parent, run = os.getpid(), suites.run_suite_entry
+
+    def dying(s, seed):
+        if os.getpid() != parent:
+            os._exit(3)
+        time.sleep(0.05)  # the worker claims a suite meanwhile
+        return run(s, seed)
+
+    monkeypatch.setattr(suites, "run_suite_entry", dying)
+    with pytest.raises(RuntimeError, match="ended without sending its reports"):
+        run_config({"seed": 1, "suites": [frechet_entry(f"s{k}") for k in range(6)]})
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("old", [None, "an earlier report\n"])
+def test_a_failed_run_leaves_no_report_file_and_an_old_one_untouched(tmp_path, capsys, monkeypatch, old):
+    out = tmp_path / "r.json"
+    failing_at(monkeypatch, "s2")
+    cfg = write_config(tmp_path, {"seed": 1, "suites": [frechet_entry("s1"), frechet_entry("s2")]})
+    for argv, line in (
+        (["--suite", "nope"], "error: no suite named 'nope' in the config"),
+        ([], "error: config cannot be run: OverflowError: s2 overflowed"),
+    ):
+        if old is not None:
+            out.write_text(old)
+        assert main(["suite", "--config", cfg, "--out", str(out)] + argv) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert (out.read_text() if out.exists() else None) == old
+
+
+def test_a_continuity_level_past_float_range_is_capped_and_recorded(tmp_path):
+    # epsilon = 1e308 gives the linear-bound delta = 1e308, a level that no
+    # float scaling of a direction reaches on sigma_0.5: it ended in an
+    # OverflowError; a run that caps no level records no sampled_delta
+    entry = next(e for e in builtin_catalogue_config()["suites"] if e["name"] == "continuity-identity-sigma")
+    out = tmp_path / "r.json"
+    for epsilon, capped in ((0.1, False), (1e308, True)):
+        entry["params"]["epsilon"] = epsilon
+        cfg = write_config(tmp_path, {"seed": 42, "suites": [entry]})
+        assert main(["suite", "--config", cfg, "--out", str(out)]) == 0
+        (suite,) = json.loads(out.read_text())["suites"]
+        w = suite["witness"]
+        assert suite["passed"] and w["delta"] == epsilon and ("sampled_delta" in w) == capped
+    assert 0 < w["sampled_delta"] < w["delta"] and w["sampled_delta"] == w["image_residuals"]["max"]

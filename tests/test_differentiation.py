@@ -215,6 +215,13 @@ def test_verify_frechet_wrong_candidate_fails():
     assert max(r for _, _, r in w.dr_samples) > 0.1
 
 
+def test_a_search_that_finds_no_delta_ends_in_a_fail():
+    # a wrong candidate's ratio does not shrink with delta: the search gives
+    # up below 1e-12 with a FAIL witness
+    w = verify_frechet(R2, ONE, [1], 0.1, L=Diagonal((3,), 0, S), delta_source="searched", rng=random.Random(5), n_samples=5)
+    assert not w.passed and w.delta < 1e-12 and w.sampled_delta is None
+
+
 def test_verify_frechet_searched_fallback():
     rng = random.Random(6)
     poly = Operator("poly", {"coeffs": (1, 1)}, SIGMA, SIGMA)
@@ -428,9 +435,10 @@ def test_scale_into_lands_on_target():
         for _ in range(20):
             u0 = space.random_direction(rng)
             for target in (delta / 2, delta * (1 - 1e-6)):
-                u = scale_into(space, u0, I, target)
+                u, capped = scale_into(space, u0, I, target)
                 if u is None:
                     continue
+                assert not capped
                 c = family_max(space, u, I)
                 assert c == pytest.approx(target, rel=1e-12) and c < delta
 
@@ -439,7 +447,19 @@ def test_scale_into_on_s_caps_levels_at_or_above_one():
     # p < 1 on S; a delta of 2 or more (a linear operator at epsilon >= 2) asks for such levels
     I = index_set(S, [1, 2])
     for target in (1.0, 1.5):
-        assert 0.99 < family_max(S, scale_into(S, SeqElement([2, -1]), I, target), I) <= 1.0
+        assert 0.99 < family_max(S, scale_into(S, SeqElement([2, -1]), I, target)[0], I) <= 1.0
+
+
+def test_scale_into_on_sigma_caps_a_level_past_float_range():
+    # (target/c)^(1/rho) overflows: u goes as far as float scaling takes it
+    I = index_set(SIGMA, [1, 2])
+    u, capped = scale_into(SIGMA, SeqElement([2, -1]), I, 1e308)
+    assert capped and u.prefix == (sys.float_info.max, -sys.float_info.max / 2)
+    assert family_max(SIGMA, u, I) < 1e308
+    for x in (SeqElement([3, Fraction(1, 7)]), SeqElement([0.1, -1e300])):
+        s = SIGMA.finite_scalar(x)
+        top = max(abs(float(v)) for v in x.prefix)
+        assert math.isfinite(s * top) and math.isinf(math.nextafter(s, math.inf) * top)
 
 
 def test_scale_into_on_s_evaluates_each_seminorm_once(monkeypatch):
@@ -452,7 +472,7 @@ def test_scale_into_on_s_evaluates_each_seminorm_once(monkeypatch):
 
     monkeypatch.setattr(SSpace, "seminorm", counted)
     I = index_set(S, [1, 2])
-    u = scale_into(S, SeqElement([2, -1], Fraction(1, 2)), I, 0.01)
+    u, _ = scale_into(S, SeqElement([2, -1], Fraction(1, 2)), I, 0.01)
     assert len(calls) <= len(I.ids)
     monkeypatch.undo()
     assert family_max(S, u, I) == pytest.approx(0.01, rel=1e-12)
@@ -637,7 +657,7 @@ def test_translate_backward_recovers_witness():
     J = index_set(SIGMA, [1, 2])
     tx0 = Q2.apply(ONE)
     for _ in range(200):
-        u = scale_into(SIGMA, SIGMA.random_direction(rng), I, rng.uniform(0, delta) or delta / 2)
+        u, _ = scale_into(SIGMA, SIGMA.random_direction(rng), I, rng.uniform(0, delta) or delta / 2)
         if u is None or family_max(SIGMA, u, I) >= delta:
             continue
         assert family_max(SIGMA, Q2.apply(ONE.add(u)).sub(tx0), J) < 0.1
